@@ -110,8 +110,8 @@ def test_geom_cache_differential_smoke(algorithm):
 
 
 # ----------------------------------------------------------------------
-# precedence oracle: scan pruning + O(1) soundness checks on a long
-# steady-state stream (>= 2k tasks)
+# precedence labels: O(1) soundness checks on a long steady-state stream
+# (>= 2k tasks)
 # ----------------------------------------------------------------------
 PREC_PIECES = 32
 PREC_ITERATIONS = 32  # 32 init + 32 * 64 steady tasks = 2080 >= 2k
@@ -120,202 +120,60 @@ _PREC_CACHE: dict = {}
 
 
 def _precedence_data() -> dict:
-    """Analyze a 2080-task Stencil stream with the order-maintenance
-    oracle on and off, then time the closure soundness check answered by
-    order labels vs. plain BFS.  Built once and shared by the smoke test
-    and the bench-document emission (the runtimes are the expensive
-    part)."""
+    """Analyze a 2080-task Stencil stream, then time the closure
+    soundness check answered by order labels vs. plain BFS.  Built once
+    and shared by the smoke test and the bench-document emission (the
+    runtime is the expensive part)."""
     if _PREC_CACHE:
         return _PREC_CACHE
     from repro import DependenceGraph
     from repro.apps import StencilApp
 
-    def analyze(oracle_on):
-        app = StencilApp(pieces=PREC_PIECES, tile=2)
-        rt = Runtime(app.tree, app.initial, algorithm="raycast",
-                     precedence_oracle=oracle_on)
-        t0 = time.perf_counter()
-        rt.replay(app.init_stream())
-        for _ in range(PREC_ITERATIONS):
-            rt.replay(app.iteration_stream())
-        return rt, time.perf_counter() - t0
-
-    on_rt, on_s = analyze(True)
-    off_rt, off_s = analyze(False)
+    app = StencilApp(pieces=PREC_PIECES, tile=2)
+    rt = Runtime(app.tree, app.initial, algorithm="raycast")
+    rt.replay(app.init_stream())
+    for _ in range(PREC_ITERATIONS):
+        rt.replay(app.iteration_stream())
 
     # Soundness-check rows: "are all these known-true orderings present
     # transitively?" over the direct edges of the newest tasks.  The
     # label-backed graph answers each pair with O(1) bit tests; the
-    # BFS graph re-walks ancestors.  This is where the oracle's O(1)
+    # BFS graph re-walks ancestors.  This is where the labels' O(1)
     # `precedes` pays off at stream scale.
     pairs = [(dep, tid)
-             for tid in off_rt.graph.task_ids[-PREC_SOUNDNESS_TAIL:]
-             for dep in off_rt.graph.dependences_of(tid)]
+             for tid in rt.graph.task_ids[-PREC_SOUNDNESS_TAIL:]
+             for dep in rt.graph.dependences_of(tid)]
     reps = 3
     t0 = time.perf_counter()
     for _ in range(reps):
-        assert on_rt.graph.missing_pairs(pairs) == []
+        assert rt.graph.missing_pairs(pairs) == []
     labels_s = (time.perf_counter() - t0) / reps
 
     bfs_graph = DependenceGraph(maintain_labels=False)
-    for tid in off_rt.graph.task_ids:
-        bfs_graph.add_task(tid, off_rt.graph.dependences_of(tid))
+    for tid in rt.graph.task_ids:
+        bfs_graph.add_task(tid, rt.graph.dependences_of(tid))
     t0 = time.perf_counter()
     assert bfs_graph.missing_pairs(pairs) == []
     bfs_s = time.perf_counter() - t0
 
-    _PREC_CACHE.update(on_rt=on_rt, off_rt=off_rt, on_s=on_s, off_s=off_s,
-                       labels_s=labels_s, bfs_s=bfs_s, pairs=len(pairs))
+    _PREC_CACHE.update(rt=rt, labels_s=labels_s, bfs_s=bfs_s,
+                       pairs=len(pairs))
     return _PREC_CACHE
 
 
-def test_precedence_oracle_smoke():
-    """CI's precedence-correctness gate, in smoke mode like the geometry
-    differential above: on the 2080-task stream the oracle must actually
-    prune (fewer direct edges), must not change the transitive closure,
-    and the label-backed soundness check must beat repeated BFS."""
+def test_precedence_soundness_smoke():
+    """CI's precedence gate, in smoke mode like the geometry differential
+    above: on the 2080-task stream the label-backed soundness check must
+    beat repeated BFS."""
     data = _precedence_data()
-    on, off = data["on_rt"], data["off_rt"]
-    assert len(on.tasks) >= 2000 and len(on.tasks) == len(off.tasks)
-
-    stats = on.order.stats()
-    assert stats["hits"] > 0, "the oracle never pruned anything"
-    assert on.graph.edge_count() < off.graph.edge_count()
-
-    # closure equality on a sample of the newest tasks (full equality is
-    # covered by tests/distributed/test_precedence_differential.py)
-    for tid in off.graph.task_ids[-64:]:
-        assert on.graph.ancestors_of(tid) == off.graph.ancestors_of(tid)
-
+    assert len(data["rt"].tasks) >= 2000
     assert data["labels_s"] < data["bfs_s"], (
         f"labels {data['labels_s']:.4f}s vs bfs {data['bfs_s']:.4f}s")
-    print(f"precedence: {len(on.tasks)} tasks, edges "
-          f"{off.graph.edge_count()} -> {on.graph.edge_count()}, "
-          f"analyze on {data['on_s']:.3f}s / off {data['off_s']:.3f}s, "
+    print(f"precedence: {len(data['rt'].tasks)} tasks, "
           f"soundness ({data['pairs']} pairs) labels "
           f"{data['labels_s'] * 1e3:.2f}ms vs bfs "
           f"{data['bfs_s'] * 1e3:.2f}ms "
           f"({data['bfs_s'] / max(data['labels_s'], 1e-9):.0f}x)")
-
-
-# ----------------------------------------------------------------------
-# columnar histories: vectorized whole-history scan vs the object walk
-# ----------------------------------------------------------------------
-COLUMNAR_ENTRIES = 2048
-COLUMNAR_REPS = 5
-_COLUMNAR_CACHE: dict = {}
-
-
-def _columnar_scan_data() -> dict:
-    """Time one whole-history dependence scan over a long reduction
-    history (Pennant's ``dt`` pattern: one write, then same-operator
-    reductions forever) with the columnar sweep on and off, checking the
-    two modes agree on dependences and meter totals."""
-    if _COLUMNAR_CACHE:
-        return _COLUMNAR_CACHE
-    import numpy as np
-    from repro.geometry.index_space import IndexSpace
-    from repro.privileges import READ_WRITE, reduce as reduce_priv
-    from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                          RegionValues, columnar_disabled,
-                                          scan_dependences)
-    from repro.visibility.meter import CostMeter
-
-    n = 4096
-    root = IndexSpace.from_indices(range(n))
-    entries = [HistoryEntry(READ_WRITE, root,
-                            RegionValues(root, np.zeros(n)), 0)]
-    priv = reduce_priv("sum")
-    for i in range(1, COLUMNAR_ENTRIES):
-        lo = (i * 17) % (n - 64)
-        dom = IndexSpace.from_indices(range(lo, lo + 64))
-        entries.append(HistoryEntry(priv, dom,
-                                    RegionValues(dom, np.ones(64)), i))
-    history = ColumnarHistory(entries)
-    query = IndexSpace.from_indices(range(128, 256))
-
-    def run(columnar: bool):
-        from contextlib import nullcontext
-        reset_geometry_cache()
-        with (nullcontext() if columnar else columnar_disabled()):
-            meter = CostMeter()
-            deps: set = set()
-            scan_dependences(priv, query, history, deps, meter)  # warm
-            t0 = time.perf_counter()
-            for _ in range(COLUMNAR_REPS):
-                deps = set()
-                scan_dependences(priv, query, history, deps, meter)
-            seconds = (time.perf_counter() - t0) / COLUMNAR_REPS
-        reset_geometry_cache()
-        return deps, meter.snapshot(), seconds
-
-    deps_on, meter_on, on_s = run(True)
-    deps_off, meter_off, off_s = run(False)
-    _COLUMNAR_CACHE.update(deps_on=deps_on, deps_off=deps_off,
-                           meter_on=meter_on, meter_off=meter_off,
-                           on_s=on_s, off_s=off_s,
-                           entries=len(history))
-    return _COLUMNAR_CACHE
-
-
-_REFINE_CACHE: dict = {}
-
-
-def _refinement_batch_data() -> dict:
-    """Warnock's refinement-heavy cold start (every split the stream
-    forces) with batched refinement rounds on and off, fingerprints
-    compared — the round batching must be invisible too."""
-    if _REFINE_CACHE:
-        return _REFINE_CACHE
-    from contextlib import nullcontext
-    from repro.visibility.history import columnar_disabled
-
-    app = CircuitApp(pieces=16, nodes_per_piece=16, wires_per_piece=24)
-
-    def run(columnar: bool):
-        reset_geometry_cache()
-        with (nullcontext() if columnar else columnar_disabled()):
-            rt = Runtime(app.tree, app.initial, algorithm="warnock")
-            t0 = time.perf_counter()
-            rt.replay(app.init_stream())
-            rt.replay(app.iteration_stream())
-            seconds = time.perf_counter() - t0
-        reset_geometry_cache()
-        return analysis_fingerprint(rt), seconds
-
-    fp_on, on_s = run(True)
-    fp_off, off_s = run(False)
-    _REFINE_CACHE.update(fp_on=fp_on, fp_off=fp_off, on_s=on_s,
-                         off_s=off_s)
-    return _REFINE_CACHE
-
-
-def test_columnar_scan_smoke():
-    """CI's columnar-correctness gate, in smoke mode like the geometry
-    differential above: on the long-reduction-history scan the columnar
-    sweep must agree with the object walk on dependences *and* meter
-    totals, and must beat it by at least 2x (the tentpole's bar — the
-    object walk pays two locked meter increments and one interference
-    call per entry; the sweep pays one mask and one batched kernel)."""
-    data = _columnar_scan_data()
-    assert data["deps_on"] == data["deps_off"] == {0}
-    assert data["meter_on"] == data["meter_off"]
-    speedup = data["off_s"] / max(data["on_s"], 1e-9)
-    assert speedup >= 2.0, (
-        f"columnar scan only {speedup:.2f}x over the object walk "
-        f"({data['on_s'] * 1e3:.3f}ms vs {data['off_s'] * 1e3:.3f}ms)")
-    print(f"columnar_scan: {data['entries']} entries, "
-          f"on {data['on_s'] * 1e3:.3f}ms vs off "
-          f"{data['off_s'] * 1e3:.3f}ms ({speedup:.1f}x)")
-
-
-def test_refinement_batch_smoke():
-    data = _refinement_batch_data()
-    assert data["fp_on"] == data["fp_off"], \
-        "batched refinement rounds changed the analysis fingerprint"
-    print(f"refinement_batch: on {data['on_s']:.3f}s vs off "
-          f"{data['off_s']:.3f}s "
-          f"({data['off_s'] / max(data['on_s'], 1e-9):.2f}x)")
 
 
 # ----------------------------------------------------------------------
@@ -343,35 +201,13 @@ def test_bench_json_emission():
         rows.append({"name": f"steady_iteration[{algorithm}]",
                      "seconds": seconds, "tasks": len(rt.tasks)})
 
-    # precedence-oracle rows: long-stream analysis with the oracle on and
-    # off, plus the labels-vs-BFS soundness-check timing (the measured
-    # O(1)-precedes speedup on a >= 2k-task stream)
+    # precedence rows: the labels-vs-BFS soundness-check timing (the
+    # measured O(1)-precedes speedup on a >= 2k-task stream)
     prec = _precedence_data()
-    rows.append({"name": "precedence_scan[raycast+oracle]",
-                 "seconds": prec["on_s"],
-                 "tasks": len(prec["on_rt"].tasks),
-                 "edges": prec["on_rt"].graph.edge_count()})
-    rows.append({"name": "precedence_scan[raycast]",
-                 "seconds": prec["off_s"],
-                 "tasks": len(prec["off_rt"].tasks),
-                 "edges": prec["off_rt"].graph.edge_count()})
     rows.append({"name": "precedence_soundness[labels]",
                  "seconds": prec["labels_s"], "pairs": prec["pairs"]})
     rows.append({"name": "precedence_soundness[bfs]",
                  "seconds": prec["bfs_s"], "pairs": prec["pairs"]})
-
-    # columnar-history rows: the vectorized whole-history scan vs the
-    # object walk, and Warnock's batched refinement rounds on/off
-    col = _columnar_scan_data()
-    rows.append({"name": "columnar_scan[columnar]",
-                 "seconds": col["on_s"], "entries": col["entries"]})
-    rows.append({"name": "columnar_scan[object]",
-                 "seconds": col["off_s"], "entries": col["entries"]})
-    refine = _refinement_batch_data()
-    rows.append({"name": "refinement_batch[columnar]",
-                 "seconds": refine["on_s"]})
-    rows.append({"name": "refinement_batch[object]",
-                 "seconds": refine["off_s"]})
 
     out = write_bench_json(RESULTS_DIR / "BENCH_micro_analysis.json",
                            "micro_analysis", rows,
@@ -381,10 +217,7 @@ def test_bench_json_emission():
     assert doc["bench"] == "micro_analysis"
     assert {row["name"] for row in doc["rows"]} \
         == ({f"steady_iteration[{a}]" for a in ALGOS}
-            | {"precedence_scan[raycast+oracle]", "precedence_scan[raycast]",
-               "precedence_soundness[labels]", "precedence_soundness[bfs]",
-               "columnar_scan[columnar]", "columnar_scan[object]",
-               "refinement_batch[columnar]", "refinement_batch[object]"})
+            | {"precedence_soundness[labels]", "precedence_soundness[bfs]"})
     assert all(row["seconds"] > 0 for row in doc["rows"])
     assert "python" in doc["environment"]
 

@@ -385,10 +385,7 @@ def geometry_cache_disabled() -> Iterator[None]:
 # the batched interference kernel
 # ----------------------------------------------------------------------
 def batch_overlaps(query: IndexSpace,
-                   candidates: Sequence[IndexSpace], *,
-                   lo: Optional[np.ndarray] = None,
-                   hi: Optional[np.ndarray] = None,
-                   nonempty: Optional[np.ndarray] = None) -> np.ndarray:
+                   candidates: Sequence[IndexSpace]) -> np.ndarray:
     """``[query.overlaps(c) for c in candidates]`` in one vectorized pass.
 
     Three stages, mirroring a graphics broad-phase/narrow-phase split:
@@ -409,24 +406,16 @@ def batch_overlaps(query: IndexSpace,
     equivalent to the scalar path's smaller-into-larger probe), and
     resolved pairs are stored back into the cache.  No meter is touched —
     callers that meter per-candidate tests keep doing so themselves.
-
-    Callers holding the candidates in columnar form (a
-    :class:`~repro.visibility.history.ColumnarHistory`) pass the stage-1
-    inputs directly via ``lo``/``hi``/``nonempty`` — aligned arrays, one
-    element per candidate — and skip the per-candidate attribute walks.
     """
     n = len(candidates)
     out = np.zeros(n, dtype=bool)
     if n == 0 or query.is_empty:
         return out
     qlo, qhi = query.bounds
-    if lo is None:
-        lo = np.fromiter((c._lo for c in candidates), dtype=np.int64,
-                         count=n)
-        hi = np.fromiter((c._hi for c in candidates), dtype=np.int64,
-                         count=n)
-        nonempty = np.fromiter((c._indices.size > 0 for c in candidates),
-                               dtype=bool, count=n)
+    lo = np.fromiter((c._lo for c in candidates), dtype=np.int64, count=n)
+    hi = np.fromiter((c._hi for c in candidates), dtype=np.int64, count=n)
+    nonempty = np.fromiter((c._indices.size > 0 for c in candidates),
+                           dtype=bool, count=n)
     live = np.flatnonzero(nonempty & (lo <= qhi) & (hi >= qlo))
     if live.size == 0:
         return out

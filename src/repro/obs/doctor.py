@@ -2,7 +2,7 @@
 
 Every performance subsystem in this repository ships with an
 environment escape hatch (disable the geometry operation cache, the
-columnar scan path, the precedence oracle, ...).  During an incident the
+precedence order labels, ...).  During an incident the
 first question is always "which of these was actually in effect?", so
 this module keeps the authoritative registry: each :class:`Hatch` knows
 its environment variable, what the subsystem does when the variable is
@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 #: Values treated as "set" for toggle hatches — mirrors
-#: ``repro.runtime.order._TRUTHY`` and the ``_env_enabled`` helpers in
-#: ``geometry.fastpath`` / ``visibility.history``.
+#: ``repro.runtime.order._TRUTHY`` and the ``_env_enabled`` helper in
+#: ``geometry.fastpath``.
 TRUTHY = ("1", "true", "yes", "on")
 
 #: Hatch kinds: ``disable`` (truthy turns a default-on feature off),
@@ -77,15 +77,9 @@ HATCHES = (
     Hatch("geometry operation cache", "REPRO_NO_GEOM_CACHE", "disable",
           "enabled", "disabled",
           "memoized interval intersect/union fast path"),
-    Hatch("columnar dependence scan", "REPRO_NO_COLUMNAR", "disable",
-          "enabled", "disabled",
-          "structure-of-arrays batched dependence scan"),
     Hatch("precedence order labels", "REPRO_NO_PRECEDENCE", "disable",
           "maintained", "disabled",
-          "O(1) order-maintenance precedence oracle"),
-    Hatch("precedence scan pruning", "REPRO_PRECEDENCE", "enable",
-          "opt-in (off)", "on",
-          "prune dependence scans with the precedence oracle"),
+          "O(1) order-maintenance precedence labels"),
     Hatch("precedence differential", "REPRO_PRECEDENCE_DIFFERENTIAL",
           "enable", "off", "on",
           "cross-check every label answer against BFS"),

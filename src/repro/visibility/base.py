@@ -70,11 +70,6 @@ class CoherenceAlgorithm(ABC):
     #: Short registry name, overridden by each subclass.
     name: str = "abstract"
 
-    #: Optional :class:`~repro.runtime.order.PrecedenceOracle` installed
-    #: by the runtime when scan pruning is opted in; ``None`` keeps every
-    #: scan on the exact legacy path (bit-identical meter counts).
-    order = None
-
     def __init__(self, tree: RegionTree, field: str,
                  initial: np.ndarray,
                  meter: Optional[CostMeter] = None) -> None:

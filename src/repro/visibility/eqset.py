@@ -33,9 +33,7 @@ from repro.geometry.kdtree import KDTree
 from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.region import Region
-from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                      PrivilegeColumns, RegionValues,
-                                      columnar_enabled, paint_entry)
+from repro.visibility.history import HistoryEntry, RegionValues, paint_entry
 from repro.visibility.meter import CostMeter
 
 _eqset_uid = itertools.count()
@@ -80,17 +78,12 @@ class EquivalenceSet:
     __slots__ = ("uid", "space", "history")
 
     def __init__(self, space: IndexSpace,
-                 history: Optional[list[EqEntry] | PrivilegeColumns] = None
-                 ) -> None:
+                 history: Optional[list[EqEntry]] = None) -> None:
         if space.is_empty:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = next(_eqset_uid)
         self.space = space
-        # columnar backing: the entry list stays authoritative, the
-        # privilege/task columns feed the vectorized interference sweep
-        self.history: PrivilegeColumns = (
-            history if isinstance(history, PrivilegeColumns)
-            else PrivilegeColumns(history if history is not None else ()))
+        self.history: list[EqEntry] = history if history is not None else []
 
     # ------------------------------------------------------------------
     def split(self, space: IndexSpace,
@@ -100,8 +93,7 @@ class EquivalenceSet:
 
         The second component is ``None`` when this set is contained in
         ``space``.  Histories are split positionally so the alignment
-        invariant is preserved on both sides — a column copy plus one
-        value gather per entry (:meth:`PrivilegeColumns.map_entries`).
+        invariant is preserved on both sides.
         """
         inside_space = self.space & space
         if inside_space.is_empty:
@@ -111,12 +103,10 @@ class EquivalenceSet:
         outside_space = self.space - space
         in_pos = self.space.positions_of(inside_space)
         out_pos = self.space.positions_of(outside_space)
-        inside = EquivalenceSet(
-            inside_space,
-            self.history.map_entries(lambda e: e.restricted(in_pos)))
-        outside = EquivalenceSet(
-            outside_space,
-            self.history.map_entries(lambda e: e.restricted(out_pos)))
+        inside = EquivalenceSet(inside_space,
+                                [e.restricted(in_pos) for e in self.history])
+        outside = EquivalenceSet(outside_space,
+                                 [e.restricted(out_pos) for e in self.history])
         if meter is not None:
             meter.count("eqsets_split")
             meter.count("eqsets_created", 2)
@@ -157,7 +147,7 @@ class EquivalenceSet:
             raise CoherenceError("entry values misaligned with eqset domain")
         entry = EqEntry(privilege, values, task_id)
         if privilege.is_write:
-            self.history.reset((entry,))
+            self.history = [entry]
             return
         self.history.append(entry)
         if compaction_limit is not None and \
@@ -175,8 +165,8 @@ class EquivalenceSet:
         for e in self.history:
             ids.add(e.task_id)
             ids.update(e.collapsed_ids)
-        self.history.reset((EqEntry(READ_WRITE, painted, max(ids),
-                                    frozenset(ids)),))
+        self.history = [EqEntry(READ_WRITE, painted, max(ids),
+                                frozenset(ids))]
 
     def __repr__(self) -> str:
         return (f"EquivalenceSet(uid={self.uid}, n={self.space.size}, "
@@ -218,21 +208,15 @@ class EqSetStore:
 # Warnock: monotone refinement tree (the BVH of section 6.1)
 # ----------------------------------------------------------------------
 class _RefNode:
-    """A node of the refinement tree; leaves carry live equivalence sets.
+    """A node of the refinement tree; leaves carry live equivalence sets."""
 
-    ``depth`` is the node's refinement depth (root 0) — the dependence
-    depth of the split that produced it, used to order batched
-    refinement rounds.
-    """
+    __slots__ = ("lo", "hi", "space", "eqset", "children")
 
-    __slots__ = ("lo", "hi", "space", "eqset", "children", "depth")
-
-    def __init__(self, eqset: EquivalenceSet, depth: int = 0) -> None:
+    def __init__(self, eqset: EquivalenceSet) -> None:
         self.space = eqset.space
         self.lo, self.hi = eqset.space.bounds
         self.eqset: Optional[EquivalenceSet] = eqset
         self.children: list["_RefNode"] = []
-        self.depth = depth
 
     @property
     def is_leaf(self) -> bool:
@@ -242,7 +226,7 @@ class _RefNode:
         """Turn this leaf into an interior node with the given parts."""
         assert self.is_leaf
         self.eqset = None
-        self.children = [_RefNode(p, self.depth + 1) for p in parts]
+        self.children = [_RefNode(p) for p in parts]
         return self.children
 
 
@@ -274,17 +258,6 @@ class RefinementTreeStore(EqSetStore):
         leaves: list[_RefNode] = []
         for node in roots:
             self._descend(node, space, leaves)
-        if columnar_enabled() and len(leaves) > 1:
-            out, out_nodes = self._refine_batched(leaves, space)
-        else:
-            out, out_nodes = self._refine_interleaved(leaves, space)
-        if region_uid is not None and self._memoize:
-            self._memo[region_uid] = out_nodes
-        return out
-
-    def _refine_interleaved(self, leaves: list[_RefNode], space: IndexSpace
-                            ) -> tuple[list[EquivalenceSet], list[_RefNode]]:
-        """The original classify-and-split-as-you-go walk (escape hatch)."""
         out: list[EquivalenceSet] = []
         out_nodes: list[_RefNode] = []
         for leaf in leaves:
@@ -303,41 +276,9 @@ class RefinementTreeStore(EqSetStore):
             children = leaf.split_to([inside, outside])
             out.append(inside)
             out_nodes.append(children[0])
-        return out, out_nodes
-
-    def _refine_batched(self, leaves: list[_RefNode], space: IndexSpace
-                        ) -> tuple[list[EquivalenceSet], list[_RefNode]]:
-        """One refinement *round*: classify every touched leaf first, then
-        execute the independent splits together in dependence-depth order
-        (Blelloch-style batching — the leaves are pairwise disjoint, so
-        the splits commute and shallower refinements go first).  Meter
-        totals match the interleaved walk exactly: one bulk
-        ``intersection_tests`` charge for the classification pass, the
-        per-split counters unchanged inside :meth:`EquivalenceSet.split`.
-        """
-        if self.meter is not None:
-            self.meter.count("intersection_tests", len(leaves))
-        results: list[Optional[tuple[EquivalenceSet, _RefNode]]] = \
-            [None] * len(leaves)
-        pending: list[tuple[int, _RefNode]] = []
-        for slot, leaf in enumerate(leaves):
-            assert leaf.eqset is not None
-            common = leaf.space & space
-            if common.is_empty:
-                continue
-            if common.size == leaf.space.size:
-                results[slot] = (leaf.eqset, leaf)
-            else:
-                pending.append((slot, leaf))
-        pending.sort(key=lambda sl: (sl[1].depth, sl[0]))
-        for slot, leaf in pending:
-            assert leaf.eqset is not None
-            inside, outside = leaf.eqset.split(space, self.meter)
-            assert outside is not None
-            children = leaf.split_to([inside, outside])
-            results[slot] = (inside, children[0])
-        kept = [r for r in results if r is not None]
-        return [eqset for eqset, _ in kept], [node for _, node in kept]
+        if region_uid is not None and self._memoize:
+            self._memo[region_uid] = out_nodes
+        return out
 
     def _descend(self, node: _RefNode, space: IndexSpace,
                  leaves: list[_RefNode]) -> None:
@@ -394,17 +335,13 @@ class LooseEquivalenceSet:
     __slots__ = ("uid", "space", "history")
 
     def __init__(self, space: IndexSpace,
-                 history: Optional[list[HistoryEntry] | ColumnarHistory]
-                 = None) -> None:
+                 history: Optional[list[HistoryEntry]] = None) -> None:
         if space.is_empty:
             raise CoherenceError("equivalence sets must be non-empty")
         self.uid = next(_eqset_uid)
         self.space = space
-        # columnar backing: per-entry domains ride along as bounds
-        # columns, feeding the batched overlap kernel whole-history
-        self.history: ColumnarHistory = (
-            history if isinstance(history, ColumnarHistory)
-            else ColumnarHistory(history if history is not None else ()))
+        self.history: list[HistoryEntry] = history if history is not None \
+            else []
 
     def record(self, entry: HistoryEntry,
                compaction_limit: Optional[int] = HISTORY_COMPACTION_LIMIT
@@ -423,7 +360,7 @@ class LooseEquivalenceSet:
             if entry.domain.size != self.space.size:
                 raise CoherenceError(
                     "write entries must cover their equivalence set")
-            self.history.reset((entry,))
+            self.history = [entry]
             return
         self.history.append(entry)
         if compaction_limit is not None and \
@@ -441,8 +378,8 @@ class LooseEquivalenceSet:
         for e in self.history:
             ids.add(e.task_id)
             ids.update(e.collapsed_ids)
-        self.history.reset((HistoryEntry(READ_WRITE, self.space, painted,
-                                         max(ids), frozenset(ids)),))
+        self.history = [HistoryEntry(READ_WRITE, self.space, painted,
+                                     max(ids), frozenset(ids))]
 
     def minus(self, space: IndexSpace,
               meter: Optional[CostMeter] = None) -> Optional["LooseEquivalenceSet"]:

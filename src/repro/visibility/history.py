@@ -16,10 +16,8 @@ shared by every algorithm.  The blending function ``b`` of section 3.1
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -226,274 +224,16 @@ def paint_entry(current: RegionValues, entry: HistoryEntry,
     return current.fold_in(entry.privilege.redop, entry.values)
 
 
-# ----------------------------------------------------------------------
-# columnar histories: structure-of-arrays backing for dependence scans
-# ----------------------------------------------------------------------
-ENV_DISABLE = "REPRO_NO_COLUMNAR"
-"""Environment escape hatch: any of ``1/true/yes/on`` disables the
-columnar scan path (set by ``repro-cli analyze --no-columnar``; inherited
-by forked sharded workers)."""
-
-_COLUMNAR_OVERRIDE: Optional[bool] = None
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() not in (
-        "1", "true", "yes", "on")
-
-
-def columnar_enabled() -> bool:
-    """Whether scans take the vectorized columnar path."""
-    if _COLUMNAR_OVERRIDE is not None:
-        return _COLUMNAR_OVERRIDE
-    return _env_enabled()
-
-
-def set_columnar_enabled(flag: Optional[bool]) -> None:
-    """Force the columnar path on/off; ``None`` defers to the
-    :data:`ENV_DISABLE` environment default (worker-spawn hygiene)."""
-    global _COLUMNAR_OVERRIDE
-    _COLUMNAR_OVERRIDE = None if flag is None else bool(flag)
-
-
-@contextmanager
-def columnar_disabled() -> Iterator[None]:
-    """Temporarily run the object-walk scan (differential harness)."""
-    global _COLUMNAR_OVERRIDE
-    prev = _COLUMNAR_OVERRIDE
-    _COLUMNAR_OVERRIDE = False
-    try:
-        yield
-    finally:
-        _COLUMNAR_OVERRIDE = prev
-
-
-#: Privilege-kind codes in the ``kind`` column.
-KIND_READ, KIND_WRITE, KIND_REDUCE = 0, 1, 2
-
-# Reduction operators are compared by *identity* in
-# :meth:`Privilege.interferes`, so the ``redop`` column interns operator
-# instances to small per-process codes by id().  The keep-alive list pins
-# every interned operator so ids are never recycled.  Codes are
-# process-local and never serialized: columnar containers pickle as their
-# entry lists and rebuild columns on load.
-_REDOP_CODES: dict[int, int] = {}
-_REDOP_KEEPALIVE: list = []
-
-
-def _redop_code(redop) -> int:
-    if redop is None:
-        return -1
-    code = _REDOP_CODES.get(id(redop))
-    if code is None:
-        code = len(_REDOP_KEEPALIVE)
-        _REDOP_CODES[id(redop)] = code
-        _REDOP_KEEPALIVE.append(redop)
-    return code
-
-
-def interference_mask(privilege: Privilege, kinds: np.ndarray,
-                      redops: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`Privilege.interferes` against kind/redop columns.
-
-    Matches the scalar relation exactly: the only non-interfering pairs
-    are read/read and reduce/reduce with the same operator instance.
-    """
-    if privilege.is_write:
-        return np.ones(len(kinds), dtype=bool)
-    if privilege.is_read:
-        return kinds != KIND_READ
-    return ~((kinds == KIND_REDUCE)
-             & (redops == _redop_code(privilege.redop)))
-
-
-class PrivilegeColumns:
-    """List-like history container mirroring entries into numpy columns.
-
-    The backing Python list stays authoritative — iteration, indexing,
-    painting and pickling all see ordinary entry objects — while the
-    privilege kind, reduction-operator code, task id and collapsed-summary
-    flag are maintained in parallel structure-of-arrays columns (amortized
-    O(1) append via capacity doubling).  Dependence scans consume the
-    columns; everything else is oblivious to them.
-
-    This base class fits :class:`~repro.visibility.eqset.EqEntry`-style
-    records (no per-entry domain).  :class:`ColumnarHistory` adds the
-    domain-bounds columns the batched overlap kernel prefilters on.
-    """
-
-    __slots__ = ("_entries", "_kind", "_redop", "_task", "_collapsed", "_n")
-    _COLUMN_NAMES = ("_kind", "_redop", "_task", "_collapsed")
-
-    def __init__(self, entries: Iterable = ()) -> None:
-        self._entries: list = []
-        self._n = 0
-        self._alloc(8)
-        for entry in entries:
-            self.append(entry)
-
-    # -- column storage ------------------------------------------------
-    def _alloc(self, cap: int) -> None:
-        self._kind = np.empty(cap, dtype=np.int8)
-        self._redop = np.empty(cap, dtype=np.int64)
-        self._task = np.empty(cap, dtype=np.int64)
-        self._collapsed = np.empty(cap, dtype=bool)
-
-    def _grow(self, needed: int) -> None:
-        cap = max(needed, 2 * self._task.size)
-        n = self._n
-        for name in self._COLUMN_NAMES:
-            old = getattr(self, name)
-            fresh = np.empty(cap, dtype=old.dtype)
-            fresh[:n] = old[:n]
-            setattr(self, name, fresh)
-
-    def _fill(self, n: int, entry) -> None:
-        p = entry.privilege
-        self._kind[n] = (KIND_REDUCE if p.is_reduce
-                         else KIND_READ if p.is_read else KIND_WRITE)
-        self._redop[n] = _redop_code(p.redop)
-        self._task[n] = entry.task_id
-        self._collapsed[n] = bool(entry.collapsed_ids)
-
-    # -- mutation ------------------------------------------------------
-    def append(self, entry) -> None:
-        n = self._n
-        if n == self._task.size:
-            self._grow(n + 1)
-        self._fill(n, entry)
-        self._entries.append(entry)
-        self._n = n + 1
-
-    def reset(self, entries: Iterable = ()) -> None:
-        """Replace the contents wholesale (write occlusion, compaction),
-        keeping the allocated capacity."""
-        self._entries = []
-        self._n = 0
-        for entry in entries:
-            self.append(entry)
-
-    def map_entries(self, fn) -> "PrivilegeColumns":
-        """A new container with ``fn`` applied entry-by-entry, reusing
-        this container's privilege columns wholesale.
-
-        ``fn`` must preserve privilege, task id and collapsed ids 1:1 —
-        positional history splits (``EqEntry.restricted``) do, which is
-        what makes a refinement round a column copy plus one value
-        gather per entry instead of a rebuild.
-        """
-        out = type(self).__new__(type(self))
-        n = self._n
-        out._entries = [fn(e) for e in self._entries]
-        out._n = n
-        for name in self._COLUMN_NAMES:
-            setattr(out, name, getattr(self, name)[:n].copy())
-        return out
-
-    # -- trimmed column views ------------------------------------------
-    @property
-    def entries(self) -> list:
-        return self._entries
-
-    @property
-    def kinds(self) -> np.ndarray:
-        return self._kind[:self._n]
-
-    @property
-    def redops(self) -> np.ndarray:
-        return self._redop[:self._n]
-
-    @property
-    def task_ids(self) -> np.ndarray:
-        return self._task[:self._n]
-
-    @property
-    def collapsed_flags(self) -> np.ndarray:
-        return self._collapsed[:self._n]
-
-    # -- list protocol -------------------------------------------------
-    def __len__(self) -> int:
-        return self._n
-
-    def __bool__(self) -> bool:
-        return self._n > 0
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __getitem__(self, key):
-        return self._entries[key]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PrivilegeColumns):
-            return self._entries == other._entries
-        if isinstance(other, list):
-            return self._entries == other
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __reduce__(self):
-        # pickle by entries: redop codes are process-local, so columns are
-        # rebuilt on load (checkpoints pickle whole runtimes)
-        return (type(self), (list(self._entries),))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self._n})"
-
-
-class ColumnarHistory(PrivilegeColumns):
-    """Columnar container for :class:`HistoryEntry` lists.
-
-    Adds the per-entry domain bounds (``lo``/``hi``/``nonempty``) so a
-    whole-history scan can hand :func:`batch_overlaps` its broad-phase
-    inputs without per-entry attribute walks.
-    """
-
-    def map_entries(self, fn) -> "ColumnarHistory":
-        # geometry columns change under domain restriction, so a loose
-        # history rebuilds instead of copying columns
-        return type(self)(fn(e) for e in self._entries)
-
-    __slots__ = ("_lo", "_hi", "_nonempty")
-    _COLUMN_NAMES = PrivilegeColumns._COLUMN_NAMES + (
-        "_lo", "_hi", "_nonempty")
-
-    def _alloc(self, cap: int) -> None:
-        super()._alloc(cap)
-        self._lo = np.empty(cap, dtype=np.int64)
-        self._hi = np.empty(cap, dtype=np.int64)
-        self._nonempty = np.empty(cap, dtype=bool)
-
-    def _fill(self, n: int, entry) -> None:
-        super()._fill(n, entry)
-        domain = entry.domain
-        self._lo[n] = domain._lo
-        self._hi[n] = domain._hi
-        self._nonempty[n] = domain._indices.size > 0
-
-    @property
-    def los(self) -> np.ndarray:
-        return self._lo[:self._n]
-
-    @property
-    def his(self) -> np.ndarray:
-        return self._hi[:self._n]
-
-    @property
-    def nonempty(self) -> np.ndarray:
-        return self._nonempty[:self._n]
-
-
 def scan_dependences(privilege: Privilege, space: IndexSpace,
                      entries: Iterable[HistoryEntry],
                      deps: set[int],
-                     meter: Optional[CostMeter] = None,
-                     oracle=None) -> None:
+                     meter: Optional[CostMeter] = None) -> None:
     """Collect task ids of entries that interfere with a new access.
 
     A dependence exists when the privileges interfere *and* the domains
-    truly overlap (content-based coherence, section 3.2).
+    truly overlap (content-based coherence, section 3.2).  Every
+    algorithm that keeps per-entry domains (painter, tree painter, ray
+    casting) finds its dependences through this one walk.
 
     The exact overlap answers are precomputed for every
     privilege-interfering entry in one :func:`batch_overlaps` pass; the
@@ -504,29 +244,10 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
     The provenance ledger (``repro.obs.provenance``) observes the same
     loop: one hoisted enabled-check, then edge/prune records that never
     touch the meter or alter control flow.
-
-    With an ``oracle`` (a :class:`~repro.runtime.order.PrecedenceOracle`,
-    opt-in via ``Runtime(precedence_oracle=True)``) the scan runs
-    *newest-to-oldest* and maintains a coverage bitmap over the closure
-    of the dependences found so far: an interfering entry whose task
-    already precedes a collected dependence is transitively ordered, so
-    its intersection test is skipped and the candidate edge is pruned
-    (recorded as a ``"transitive"`` prune).  Meter counts differ on this
-    path (fewer intersection tests) but the graph's transitive closure —
-    and therefore the soundness criterion — is unchanged.
     """
     led = prov._LEDGER
     led = led if led.enabled else None
-    cols = entries if isinstance(entries, ColumnarHistory) \
-        and columnar_enabled() else None
-    entries = cols.entries if cols is not None else list(entries)
-    if oracle is not None:
-        _scan_pruned(privilege, space, entries, deps, meter, oracle, led,
-                     cols=cols)
-        return
-    if cols is not None:
-        _scan_columnar(privilege, space, cols, deps, meter, led)
-        return
+    entries = list(entries)
     interfering = [privilege.interferes(e.privilege) for e in entries]
     # Only entries the loop can actually test go to the kernel: the
     # already-a-dependence skip consults deps *at scan start* here (the
@@ -564,144 +285,3 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
             led.prune(entry.task_id, "disjoint",
                       prov.domain_desc(entry.domain))
 
-
-def _scan_columnar(privilege: Privilege, space: IndexSpace,
-                   cols: ColumnarHistory, deps: set[int], meter,
-                   led) -> None:
-    """The vectorized whole-history sweep over a :class:`ColumnarHistory`.
-
-    One :func:`interference_mask` call replaces the per-entry privilege
-    test, one :func:`batch_overlaps` call (fed the precomputed bounds
-    columns) answers every surviving overlap, and the meter is bulk-fed
-    the same totals the object walk produces one locked increment at a
-    time.  The residual loop runs only over interfering entries and
-    replays the growing-``deps`` skip, so dependences, meter totals and
-    provenance records are bit-identical to the object path (the
-    differential suites prove it per algorithm and backend).
-    """
-    n = len(cols)
-    if meter is not None and n:
-        meter.count("entries_scanned", n)
-    if n == 0:
-        return
-    idx = np.flatnonzero(interference_mask(privilege, cols.kinds,
-                                           cols.redops))
-    if idx.size == 0:
-        # non-interfering entries never reach the test, the ledger, or
-        # the intersection counter on the object path either
-        return
-    entries = cols.entries
-    test_idx = [i for i in map(int, idx)
-                if entries[i].collapsed_ids
-                or entries[i].task_id not in deps]
-    overlap: dict[int, bool] = {}
-    if len(test_idx) > 1:
-        sel = np.asarray(test_idx, dtype=np.int64)
-        verdicts = batch_overlaps(space,
-                                  [entries[i].domain for i in test_idx],
-                                  lo=cols.los[sel], hi=cols.his[sel],
-                                  nonempty=cols.nonempty[sel])
-        overlap = dict(zip(test_idx, (bool(v) for v in verdicts)))
-    tested = 0
-    for i in map(int, idx):
-        entry = entries[i]
-        if entry.task_id in deps and not entry.collapsed_ids:
-            continue
-        tested += 1
-        hit = overlap[i] if i in overlap else space.overlaps(entry.domain)
-        if hit:
-            deps.add(entry.task_id)
-            if entry.collapsed_ids:
-                deps.update(entry.collapsed_ids)
-            if led is not None:
-                led.edge(entry.task_id,
-                         "summary" if entry.collapsed_ids else "history",
-                         prov.privilege_label(entry.privilege),
-                         prov.domain_desc(entry.domain),
-                         collapsed=entry.collapsed_ids)
-        elif led is not None:
-            led.prune(entry.task_id, "disjoint",
-                      prov.domain_desc(entry.domain))
-    if meter is not None and tested:
-        meter.count("intersection_tests", tested)
-
-
-def _scan_pruned(privilege: Privilege, space: IndexSpace, entries: list,
-                 deps: set[int], meter, oracle, led,
-                 cols: Optional[ColumnarHistory] = None) -> None:
-    """The oracle-pruned scan: newest-to-oldest, coverage-masked.
-
-    Histories are ordered oldest first, so walking them backwards finds
-    the *newest* interfering entries first; once those are dependences,
-    every older entry they transitively cover is skipped in one O(1)
-    bitmap test instead of an intersection test.  Summary entries
-    (``collapsed_ids``) are never skipped — they aggregate many tasks
-    conservatively, exactly like the already-a-dependence skip.
-
-    Overlap verdicts are batched up front exactly like the unpruned scan:
-    every entry that survives the *initial* deps and coverage masks is a
-    candidate (the loop's live masks only shrink that set, so each tested
-    entry finds its verdict precomputed).  The precompute reads the
-    coverage bitmap directly rather than through :meth:`oracle.covered`
-    so the oracle's hit/miss statistics still count only the loop's real
-    coverage tests.
-    """
-    covered = 0
-    for d in deps:
-        covered |= oracle.reach_mask(d)
-    if cols is not None:
-        interfering = interference_mask(privilege, cols.kinds, cols.redops)
-    else:
-        interfering = [privilege.interferes(e.privilege) for e in entries]
-    candidates = [i for i in range(len(entries))
-                  if interfering[i]
-                  and (entries[i].collapsed_ids
-                       or (entries[i].task_id not in deps
-                           and not (entries[i].task_id >= 0
-                                    and (covered >> entries[i].task_id)
-                                    & 1)))]
-    overlap: dict[int, bool] = {}
-    if len(candidates) > 1:
-        if cols is not None:
-            sel = np.asarray(candidates, dtype=np.int64)
-            verdicts = batch_overlaps(
-                space, [entries[i].domain for i in candidates],
-                lo=cols.los[sel], hi=cols.his[sel],
-                nonempty=cols.nonempty[sel])
-        else:
-            verdicts = batch_overlaps(
-                space, [entries[i].domain for i in candidates])
-        overlap = dict(zip(candidates, (bool(v) for v in verdicts)))
-    for i in range(len(entries) - 1, -1, -1):
-        entry = entries[i]
-        if meter is not None:
-            meter.count("entries_scanned")
-        if entry.task_id in deps and not entry.collapsed_ids:
-            continue
-        if not interfering[i]:
-            continue
-        if not entry.collapsed_ids and oracle.covered(covered,
-                                                      entry.task_id):
-            if led is not None:
-                led.prune(entry.task_id, "transitive",
-                          prov.domain_desc(entry.domain))
-            continue
-        if meter is not None:
-            meter.count("intersection_tests")
-        hit = overlap[i] if i in overlap else space.overlaps(entry.domain)
-        if hit:
-            deps.add(entry.task_id)
-            covered |= oracle.reach_mask(entry.task_id)
-            if entry.collapsed_ids:
-                deps.update(entry.collapsed_ids)
-                for cid in entry.collapsed_ids:
-                    covered |= oracle.reach_mask(cid)
-            if led is not None:
-                led.edge(entry.task_id,
-                         "summary" if entry.collapsed_ids else "history",
-                         prov.privilege_label(entry.privilege),
-                         prov.domain_desc(entry.domain),
-                         collapsed=entry.collapsed_ids)
-        elif led is not None:
-            led.prune(entry.task_id, "disjoint",
-                      prov.domain_desc(entry.domain))

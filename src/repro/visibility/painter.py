@@ -22,9 +22,8 @@ from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
                                    INITIAL_TASK_ID)
-from repro.visibility.history import (ColumnarHistory, HistoryEntry,
-                                      RegionValues, paint_entry,
-                                      scan_dependences)
+from repro.visibility.history import (HistoryEntry, RegionValues,
+                                      paint_entry, scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 from repro.obs.tracer import traced
@@ -41,12 +40,10 @@ class PainterAlgorithm(CoherenceAlgorithm):
         root_values = RegionValues(tree.root.space, np.asarray(initial).copy())
         from repro.privileges import READ_WRITE
 
-        # columnar backing: list-like for painting/pickling, SoA columns
-        # for the vectorized dependence sweep
-        self._history = ColumnarHistory([
+        self._history: list[HistoryEntry] = [
             HistoryEntry(READ_WRITE, tree.root.space, root_values,
                          INITIAL_TASK_ID)
-        ])
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -63,7 +60,7 @@ class PainterAlgorithm(CoherenceAlgorithm):
             led.set_source(("painter", len(self._history)))
             led.visit("history_entries", len(self._history))
         scan_dependences(privilege, region.space, self._history, deps,
-                         self.meter, oracle=self.order)
+                         self.meter)
         if track:
             led.clear_source()
         deps.discard(INITIAL_TASK_ID)

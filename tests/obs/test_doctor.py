@@ -17,25 +17,26 @@ def test_defaults_have_default_origin():
         assert row["origin"] == "default"
         assert row["raw"] is None
     assert rows["REPRO_NO_GEOM_CACHE"]["value"] == "enabled"
-    assert rows["REPRO_PRECEDENCE"]["value"] == "opt-in (off)"
+    assert rows["REPRO_PRECEDENCE_DIFFERENTIAL"]["value"] == "off"
     assert rows["REPRO_NO_FLIGHT"]["value"] == "armable"
 
 
 def test_truthy_override_flips_value_and_origin():
-    rows = by_env({"REPRO_NO_GEOM_CACHE": "1", "REPRO_PRECEDENCE": "yes"})
+    rows = by_env({"REPRO_NO_GEOM_CACHE": "1",
+                   "REPRO_PRECEDENCE_DIFFERENTIAL": "yes"})
     assert rows["REPRO_NO_GEOM_CACHE"]["value"] == "disabled"
     assert rows["REPRO_NO_GEOM_CACHE"]["origin"] == "env"
-    assert rows["REPRO_PRECEDENCE"]["value"] == "on"
-    assert rows["REPRO_PRECEDENCE"]["origin"] == "env"
+    assert rows["REPRO_PRECEDENCE_DIFFERENTIAL"]["value"] == "on"
+    assert rows["REPRO_PRECEDENCE_DIFFERENTIAL"]["origin"] == "env"
 
 
 def test_falsey_string_is_still_the_default_outcome():
-    # REPRO_NO_COLUMNAR=0 does not disable anything: the subsystems only
-    # honor truthy strings, and doctor must agree with them
-    rows = by_env({"REPRO_NO_COLUMNAR": "0"})
-    assert rows["REPRO_NO_COLUMNAR"]["value"] == "enabled"
-    assert rows["REPRO_NO_COLUMNAR"]["origin"] == "default"
-    assert rows["REPRO_NO_COLUMNAR"]["raw"] == "0"
+    # REPRO_NO_GEOM_CACHE=0 does not disable anything: the subsystems
+    # only honor truthy strings, and doctor must agree with them
+    rows = by_env({"REPRO_NO_GEOM_CACHE": "0"})
+    assert rows["REPRO_NO_GEOM_CACHE"]["value"] == "enabled"
+    assert rows["REPRO_NO_GEOM_CACHE"]["origin"] == "default"
+    assert rows["REPRO_NO_GEOM_CACHE"]["raw"] == "0"
 
 
 def test_value_kind_reports_the_raw_setting():

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro import (READ, READ_WRITE, DependenceGraph, RegionRequirement,
-                   Runtime, TaskStream, oracle_dependences, reduce)
+                   TaskStream, oracle_dependences, reduce)
 from repro.analysis import profile_graph
 from repro.runtime.dependence import schedule_levels
 
-from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
+from tests.conftest import make_fig1_tree
 from tests.runtime.test_order import random_dags
 
 
@@ -133,25 +133,6 @@ class TestLevelsCache:
         g.critical_path_length()
         g.max_width()
         assert g.computes == 2
-
-
-class TestTransitivePruning:
-    """The precedence oracle drops direct edges but never paths."""
-
-    def test_edge_count_shrinks_closure_does_not(self):
-        tree, P, G = make_fig1_tree()
-        stream = fig1_stream(tree, P, G, 2)
-        plain = Runtime(tree, fig1_initial(tree), algorithm="painter")
-        plain.replay(stream)
-        pruned = Runtime(tree, fig1_initial(tree), algorithm="painter",
-                         precedence_oracle=True)
-        pruned.replay(stream)
-        assert pruned.graph.edge_count() < plain.graph.edge_count()
-        want = oracle_dependences(list(stream))
-        assert pruned.graph.missing_pairs(want) == []
-        for tid in plain.graph.task_ids:
-            assert pruned.graph.ancestors_of(tid) == \
-                plain.graph.ancestors_of(tid)
 
 
 class TestOracle:

@@ -1,4 +1,4 @@
-"""Property suite for the order-maintenance precedence oracle.
+"""Property suite for the order-maintenance precedence labels.
 
 The central claims under test, mirroring the module contract of
 ``repro.runtime.order``:
@@ -9,8 +9,7 @@ The central claims under test, mirroring the module contract of
   through the real runtime.
 * **No traversal** — a ``precedes`` query costs a constant number of
   label-store lookups (at most two ``dict.get`` calls) and zero BFS
-  walks, independent of graph size; the oracle's ``comparisons`` counter
-  stays exactly equal to ``queries``.
+  walks, independent of graph size.
 * **Scaling** — the soundness-harness helpers (``missing_pairs`` /
   ``contains_transitively``) stop issuing per-pair BFS traversals once
   labels are available: a 2k-task check performs zero ``ancestors_of``
@@ -26,12 +25,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Runtime
-from repro.obs.metrics import MetricsRegistry
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.order import (ENV_DISABLE, ENV_ENABLE, OrderMaintainer,
-                                 PrecedenceOracle, differential_enabled,
-                                 order_maintenance_enabled,
-                                 scan_pruning_enabled)
+from repro.runtime.order import (ENV_DISABLE, OrderMaintainer,
+                                 differential_enabled,
+                                 order_maintenance_enabled)
 from repro.visibility.base import INITIAL_TASK_ID
 
 from tests.conftest import random_programs
@@ -125,11 +122,10 @@ class TestExactness:
         """Labels assigned during real launches (through every coherence
         algorithm's reported dependences) decode to the BFS closure."""
         tree, initial, stream = program
-        rt = Runtime(tree, initial, algorithm="raycast",
-                     precedence_oracle=True)
+        rt = Runtime(tree, initial, algorithm="raycast")
         rt.replay(stream)
         om = rt.graph.order_maintainer
-        assert om is not None and rt.order is not None
+        assert om is not None
         for tid in rt.graph.task_ids:
             assert om.ancestors(tid) == rt.graph.ancestors_of(tid)
 
@@ -168,12 +164,11 @@ class TestNoTraversal:
         g = CountingGraph(maintain_labels=True)
         for t in range(200):
             g.add_task(t, [t - 1] if t else [])
-        oracle = PrecedenceOracle(g.order_maintainer)
+        om = g.order_maintainer
         for a in range(0, 200, 3):
             for b in range(0, 200, 3):
-                oracle.precedes(a, b)
+                assert om.precedes(a, b) is (a < b)
         assert g.bfs_calls == 0
-        assert oracle.comparisons == oracle.queries > 0
 
     def test_soundness_check_scaling_2k_chain(self):
         """The 2k-task soundness check: zero BFS with labels, one BFS per
@@ -204,94 +199,16 @@ class TestNoTraversal:
 
 
 # ----------------------------------------------------------------------
-# the PrecedenceOracle front-end
-# ----------------------------------------------------------------------
-class TestPrecedenceOracle:
-    def _diamond_oracle(self):
-        g = build_graph([[], [0], [0], [1, 2]], maintain_labels=True)
-        return PrecedenceOracle(g.order_maintainer)
-
-    def test_covered_counts_hits_and_misses(self):
-        oracle = self._diamond_oracle()
-        mask = oracle.reach_mask(3)
-        assert oracle.covered(mask, 0) and oracle.covered(mask, 3)
-        assert not oracle.covered(mask, 4)
-        assert not oracle.covered(mask, INITIAL_TASK_ID)
-        assert oracle.hits == 2 and oracle.misses == 2
-
-    def test_transitive_reduce_diamond(self):
-        oracle = self._diamond_oracle()
-        kept, dropped = oracle.transitive_reduce({0, 1, 2, 3})
-        assert kept == {3}
-        assert sorted(dropped) == [0, 1, 2]
-
-    def test_transitive_reduce_keeps_incomparable(self):
-        oracle = self._diamond_oracle()
-        kept, dropped = oracle.transitive_reduce({1, 2})
-        assert kept == {1, 2} and dropped == []
-
-    def test_transitive_reduce_short_circuits(self):
-        oracle = self._diamond_oracle()
-        assert oracle.transitive_reduce(set()) == (set(), [])
-        assert oracle.transitive_reduce({2}) == ({2}, [])
-
-    def test_transitive_reduce_ignores_unlabelled(self):
-        oracle = self._diamond_oracle()
-        kept, dropped = oracle.transitive_reduce({3, 99})
-        assert kept == {3, 99} and dropped == []
-
-    @given(random_dags())
-    @settings(max_examples=30)
-    def test_transitive_reduce_preserves_closure(self, edges):
-        """Dropping covered deps never changes the transitive closure:
-        the closure of (kept ∪ their ancestors) equals the original."""
-        g = build_graph(edges, maintain_labels=True)
-        oracle = PrecedenceOracle(g.order_maintainer)
-        deps = set(range(0, len(edges), 2))
-        kept, dropped = oracle.transitive_reduce(set(deps))
-
-        def closure(ids):
-            out = set(ids)
-            for t in ids:
-                out |= g.ancestors_of(t)
-            return out
-
-        assert closure(deps) == closure(kept)
-        assert kept.isdisjoint(dropped)
-        assert kept | set(dropped) == deps
-
-    def test_stats_and_publish(self):
-        oracle = self._diamond_oracle()
-        oracle.precedes(0, 3)
-        oracle.covered(oracle.reach_mask(3), 1)
-        registry = MetricsRegistry()
-        oracle.publish_to(registry)
-        snap = registry.snapshot()
-        assert snap["order.labels"] == 4
-        assert snap["order.queries"] == 1
-        assert snap["order.hits"] == 1
-        assert "PrecedenceOracle" in repr(oracle)
-
-
-# ----------------------------------------------------------------------
 # environment knobs and graph integration
 # ----------------------------------------------------------------------
 class TestConfiguration:
     def test_env_flags(self, monkeypatch):
         monkeypatch.delenv(ENV_DISABLE, raising=False)
-        monkeypatch.delenv(ENV_ENABLE, raising=False)
         assert order_maintenance_enabled()
-        assert not scan_pruning_enabled(None)
-        assert scan_pruning_enabled(True)
-        assert not scan_pruning_enabled(False)
         assert not differential_enabled()
-
-        monkeypatch.setenv(ENV_ENABLE, "1")
-        assert scan_pruning_enabled(None)
 
         monkeypatch.setenv(ENV_DISABLE, "1")
         assert not order_maintenance_enabled()
-        assert not scan_pruning_enabled(True)  # escape hatch wins
 
     def test_disable_env_reaches_graphs_and_runtimes(self, monkeypatch,
                                                      fig1):
@@ -301,9 +218,8 @@ class TestConfiguration:
         assert g.order_maintainer is None
         tree, P, G = fig1
         from tests.conftest import fig1_initial
-        rt = Runtime(tree, fig1_initial(tree), algorithm="painter",
-                     precedence_oracle=True)
-        assert rt.order is None
+        rt = Runtime(tree, fig1_initial(tree), algorithm="painter")
+        assert rt.graph.order_maintainer is None
 
     def test_negative_ids_degrade_to_bfs(self):
         g = DependenceGraph(maintain_labels=True)
