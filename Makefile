@@ -74,7 +74,7 @@ telemetry-smoke:
 
 blackbox-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/obs/test_flight.py \
-		tests/obs/test_doctor.py tests/service/test_blackbox.py
+		tests/service/test_blackbox.py
 	rm -rf blackbox-out
 	PYTHONPATH=src $(PYTHON) -m repro serve --chaos 7 --fault-rate 0.3 \
 		--tenants 3 --sessions 24 --seed 2023 \
@@ -86,7 +86,6 @@ blackbox-smoke:
 		assert paths, 'chaos run produced no blackbox dump'; \
 		[load_blackbox(p) for p in paths]; \
 		print(f'blackbox-out: {len(paths)} repro.blackbox/1 dump(s) valid')"
-	PYTHONPATH=src $(PYTHON) -m repro doctor
 	PYTHONPATH=src sh -c '$(PYTHON) -m repro blackbox \
 		"$$(ls blackbox-out/blackbox-*.json | tail -1)" --top 3'
 

@@ -20,7 +20,7 @@ import pytest
 from repro import Runtime
 from repro.apps import CircuitApp
 from repro.distributed.verify import analysis_fingerprint
-from repro.geometry.fastpath import geometry_cache, reset_geometry_cache
+from repro.geometry.fastpath import GeometryCache, tenant_geometry_cache
 
 PIECES = 32
 ALGOS = ("tree_painter", "warnock", "raycast", "painter")
@@ -61,16 +61,15 @@ def test_repeated_stream_geom_cache(benchmark, algorithm, cache):
     over (every iterative application's steady state).  Compare the
     ``cached`` and ``uncached`` rows — EXPERIMENTS.md records the ratio.
     Larger spaces than the constants benchmarks above: the raw set-algebra
-    cost grows with index-array size while a cache hit stays O(1)."""
+    cost grows with index-array size while a cache hit stays O(1).  Both
+    rows run on a thread-scoped cache, so both pay the same dispatch hop
+    and differ only in caching."""
     app = CircuitApp(pieces=PIECES, nodes_per_piece=64, wires_per_piece=96)
     rt = Runtime(app.tree, app.initial, algorithm=algorithm)
-    reset_geometry_cache(enabled=(cache == "cached"))
-    try:
+    with tenant_geometry_cache(GeometryCache(enabled=(cache == "cached"))):
         rt.replay(app.init_stream())
         rt.replay(app.iteration_stream())  # warm structures and the cache
         benchmark(rt.replay, app.iteration_stream())
-    finally:
-        reset_geometry_cache()
 
 
 @pytest.mark.parametrize("algorithm", ALGOS)
@@ -82,25 +81,24 @@ def test_geom_cache_differential_smoke(algorithm):
     ``--benchmark-disable`` keeps the differential check alive."""
     app = CircuitApp(pieces=8, nodes_per_piece=8, wires_per_piece=12)
 
-    def analyze():
-        rt = Runtime(app.tree, app.initial, algorithm=algorithm)
-        rt.replay(app.init_stream())
-        for _ in range(2):
-            rt.replay(app.iteration_stream())
-        return analysis_fingerprint(rt)
+    def analyze(cache):
+        with tenant_geometry_cache(cache):
+            rt = Runtime(app.tree, app.initial, algorithm=algorithm)
+            rt.replay(app.init_stream())
+            for _ in range(2):
+                rt.replay(app.iteration_stream())
+            return analysis_fingerprint(rt)
 
-    reset_geometry_cache(enabled=True)
+    cache = GeometryCache()
     t0 = time.perf_counter()
-    cached = analyze()
+    cached = analyze(cache)
     cached_s = time.perf_counter() - t0
-    stats = geometry_cache().stats()
+    stats = cache.stats()
     assert stats["hits"] > 0, "repeated streams must hit the cache"
 
-    reset_geometry_cache(enabled=False)
     t0 = time.perf_counter()
-    uncached = analyze()
+    uncached = analyze(GeometryCache(enabled=False))
     uncached_s = time.perf_counter() - t0
-    reset_geometry_cache()
 
     assert cached == uncached, \
         f"{algorithm}: geometry fast path changed the analysis fingerprint"
@@ -119,6 +117,19 @@ PREC_SOUNDNESS_TAIL = 2080  # tasks whose edges the soundness rows check
 _PREC_CACHE: dict = {}
 
 
+def _bfs_missing_pairs(graph, pairs) -> list:
+    """``missing_pairs`` answered from ``ancestors_of`` alone: one BFS
+    walk per distinct later task, memoized across pairs."""
+    closure: dict = {}
+    out = []
+    for earlier, later in pairs:
+        if later not in closure:
+            closure[later] = graph.ancestors_of(later)
+        if earlier not in closure[later]:
+            out.append((earlier, later))
+    return out
+
+
 def _precedence_data() -> dict:
     """Analyze a 2080-task Stencil stream, then time the closure
     soundness check answered by order labels vs. plain BFS.  Built once
@@ -126,7 +137,6 @@ def _precedence_data() -> dict:
     runtime is the expensive part)."""
     if _PREC_CACHE:
         return _PREC_CACHE
-    from repro import DependenceGraph
     from repro.apps import StencilApp
 
     app = StencilApp(pieces=PREC_PIECES, tile=2)
@@ -137,9 +147,9 @@ def _precedence_data() -> dict:
 
     # Soundness-check rows: "are all these known-true orderings present
     # transitively?" over the direct edges of the newest tasks.  The
-    # label-backed graph answers each pair with O(1) bit tests; the
-    # BFS graph re-walks ancestors.  This is where the labels' O(1)
-    # `precedes` pays off at stream scale.
+    # labels answer each pair with O(1) bit tests; the BFS reference
+    # re-walks ancestors.  This is where the labels' O(1) `precedes`
+    # pays off at stream scale.
     pairs = [(dep, tid)
              for tid in rt.graph.task_ids[-PREC_SOUNDNESS_TAIL:]
              for dep in rt.graph.dependences_of(tid)]
@@ -149,11 +159,8 @@ def _precedence_data() -> dict:
         assert rt.graph.missing_pairs(pairs) == []
     labels_s = (time.perf_counter() - t0) / reps
 
-    bfs_graph = DependenceGraph(maintain_labels=False)
-    for tid in rt.graph.task_ids:
-        bfs_graph.add_task(tid, rt.graph.dependences_of(tid))
     t0 = time.perf_counter()
-    assert bfs_graph.missing_pairs(pairs) == []
+    assert _bfs_missing_pairs(rt.graph, pairs) == []
     bfs_s = time.perf_counter() - t0
 
     _PREC_CACHE.update(rt=rt, labels_s=labels_s, bfs_s=bfs_s,

@@ -20,13 +20,17 @@ from repro.service import verify_sessions
 from repro.service.loadgen import LoadSpec, run_load
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+BASELINE = Path(__file__).resolve().parent / "baseline.json"
 
 SPEC = LoadSpec(seed=2023, tenants=3, sessions=18, pieces=4, iterations=1,
                 skew=1.0)
 
 
 def test_bench_service_json_emission():
-    """Emit ``BENCH_service.json`` and self-gate it."""
+    """Emit ``BENCH_service.json`` and gate it against the committed
+    ``service_load`` baseline rows: every row must be present on both
+    sides and no row may be slower than the gate's fail ratio (``warn``
+    rows stay soft, as in CI)."""
     from repro.bench.gate import compare, load_bench
     from repro.bench.harness import write_bench_json
 
@@ -60,8 +64,10 @@ def test_bench_service_json_emission():
     doc = load_bench(out)
     assert doc["bench"] == "service_load"
     assert all(row["seconds"] > 0 for row in doc["rows"])
-    self_gate = compare(doc, doc, subsets=["service_load"])
-    assert self_gate and all(r.status == "ok" for r in self_gate)
+    gate = compare(doc, load_bench(BASELINE), subsets=["service_load"])
+    assert len(gate) == len(rows)
+    bad = [r for r in gate if r.status in ("missing", "new", "fail")]
+    assert not bad, bad
 
 
 def test_schedule_is_deterministic():

@@ -57,11 +57,8 @@ Commands
     percentiles, breaker/degradation state, and firing SLO alerts.
 ``blackbox``
     Render a flight-recorder dump as an incident report: trigger,
-    configuration, event timeline, critical path over the captured
+    event timeline, critical path over the captured
     spans, slowest exemplars, and ``repro explain`` cross-links.
-``doctor``
-    Print every ``REPRO_*`` escape hatch with its current in-effect
-    value and origin (environment override vs default).
 """
 
 from __future__ import annotations
@@ -128,10 +125,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      default=None,
                      help="force a backend (default: process when "
                           "--parallel > 1, else serial)")
-    ana.add_argument("--no-geom-cache", action="store_true",
-                     help="disable the geometry fast path (interning + "
-                          "operation cache); sets REPRO_NO_GEOM_CACHE so "
-                          "worker processes inherit the setting")
     ana.add_argument("--profile", action="store_true",
                      help="print per-phase perf counters")
     ana.add_argument("--chaos", type=int, default=None, metavar="SEED",
@@ -255,8 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           "as repro.blackbox/1 JSON into DIR when an "
                           "SLO fires, a breaker opens, a deadline "
                           "expires, or a fault recovers (render with "
-                          "'repro blackbox FILE'; REPRO_NO_FLIGHT "
-                          "disables)")
+                          "'repro blackbox FILE')")
     srv.add_argument("--flight-cooldown", type=float, default=5.0,
                      metavar="SECONDS",
                      help="minimum seconds between flight-recorder "
@@ -291,10 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bbx.add_argument("--top", type=int, default=5, metavar="K",
                      help="rows in the critical-path and exemplar "
                           "tables (default 5)")
-
-    sub.add_parser("doctor",
-                   help="print every REPRO_* escape hatch with its "
-                        "in-effect value and origin")
     return parser
 
 
@@ -436,22 +424,14 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    import os
     import time
 
     from repro import obs
     from repro.distributed import (DeterminismError, FaultPlan,
                                    ShardedRuntime)
     from repro.errors import MachineError
-    from repro.geometry.fastpath import (ENV_DISABLE, geometry_cache,
-                                         reset_geometry_cache)
+    from repro.geometry.fastpath import geometry_cache
     from repro.runtime.tracing import signature_digest
-
-    if args.no_geom_cache:
-        # Through the environment so forked worker processes (which reset
-        # their caches on spawn) pick the setting up too.
-        os.environ[ENV_DISABLE] = "1"
-        reset_geometry_cache()
 
     backend = args.backend
     if backend is None:
@@ -700,18 +680,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_serve(args) -> int:
     import json
-    import os
     import time
 
     from repro.distributed.faults import FaultPlan
     from repro.errors import MachineError
-    from repro.obs.doctor import TRUTHY
     from repro.obs.metrics import MetricsRegistry
     from repro.service import verify_sessions
     from repro.service.loadgen import LoadSpec, run_load
-
-    def _env_on(name: str) -> bool:
-        return os.environ.get(name, "").strip().lower() in TRUTHY
 
     faults = None
     backend = args.backend
@@ -727,10 +702,7 @@ def _cmd_serve(args) -> int:
                     deadline=args.deadline)
     registry = MetricsRegistry()
     hub = None
-    if args.telemetry_out and _env_on("REPRO_NO_TELEMETRY"):
-        print("telemetry: disabled by REPRO_NO_TELEMETRY",
-              file=sys.stderr)
-    elif args.telemetry_out:
+    if args.telemetry_out:
         from repro.obs.slo import SloEvaluator, default_service_slos
         from repro.obs.telemetry import (TelemetryHub, TelemetrySink,
                                          WINDOWS)
@@ -746,30 +718,20 @@ def _cmd_serve(args) -> int:
                                    registry=registry))
 
     from repro.obs import flight as flight_mod
-    from repro.obs import provenance as prov
     from repro.obs import tracer as tracing
 
     recorder = None
-    previous_recorder = previous_tracer = previous_ledger = None
+    previous_recorder = previous_tracer = None
     if args.flight_out:
         recorder = flight_mod.FlightRecorder(
             args.flight_out, cooldown=args.flight_cooldown,
             exemplar_source=registry.exemplars)
         previous_recorder = flight_mod.set_recorder(recorder)
-        if recorder.arm():
-            # an enabled, non-retaining tracer: session and task spans
-            # reach the recorder's rings without unbounded buffering
-            previous_tracer = tracing.set_tracer(
-                tracing.Tracer(enabled=True, retain=False))
-        else:
-            print("flight recorder: disabled by REPRO_NO_FLIGHT",
-                  file=sys.stderr)
-            recorder = None
-    if _env_on("REPRO_PROVENANCE"):
-        previous_ledger = prov.set_ledger(
-            prov.ProvenanceLedger(enabled=True))
-        print("provenance: ledger recording (REPRO_PROVENANCE)",
-              file=sys.stderr)
+        recorder.arm()
+        # an enabled, non-retaining tracer: session and task spans reach
+        # the recorder's rings without unbounded buffering
+        previous_tracer = tracing.set_tracer(
+            tracing.Tracer(enabled=True, retain=False))
     # exemplar reservoirs ride along whenever something will surface
     # them: the telemetry stream (top's offender rows) or a dump
     exemplar_seed = (args.seed if (hub is not None or recorder is not None)
@@ -792,8 +754,6 @@ def _cmd_serve(args) -> int:
             tracing.set_tracer(previous_tracer)
         if previous_recorder is not None:
             flight_mod.set_recorder(previous_recorder)
-        if previous_ledger is not None:
-            prov.set_ledger(previous_ledger)
     wall = time.perf_counter() - t0
     summary["wall_seconds"] = round(wall, 6)
     if recorder is not None:
@@ -885,13 +845,6 @@ def _cmd_blackbox(args) -> int:
     return 0
 
 
-def _cmd_doctor() -> int:
-    from repro.obs.doctor import render_doctor
-
-    print(render_doctor())
-    return 0
-
-
 def _cmd_top(args) -> int:
     from repro.obs.top import run_top
 
@@ -937,8 +890,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_top(args)
     if args.command == "blackbox":
         return _cmd_blackbox(args)
-    if args.command == "doctor":
-        return _cmd_doctor()
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

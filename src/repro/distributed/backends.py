@@ -428,8 +428,7 @@ def _worker_main(conn, payload: bytes) -> None:  # pragma: no cover - subprocess
     # Same hygiene for the geometry fast path: the fork start method
     # copies the driver's cache into the child; per-process cache state
     # is rebuilt from scratch on every (re)spawn instead of leaking
-    # across workers.  Re-reads REPRO_NO_GEOM_CACHE so the CLI escape
-    # hatch propagates.
+    # across workers.
     reset_geometry_cache()
     if spec["mode"] == "restore":
         hostings = _restore_hostings(spec["state"])

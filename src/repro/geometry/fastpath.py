@@ -28,15 +28,16 @@ Cached results are value-equal to recomputed ones (immutability makes
 sharing safe), the batched kernel computes exactly the per-pair
 ``overlaps`` answers, and nothing here touches a
 :class:`~repro.visibility.meter.CostMeter` — so analysis fingerprints
-(which hash both structure and meter counts) stay bit-identical with the
-cache on or off.  ``tests/distributed/test_cache_differential.py`` proves
-this for all five algorithms across the sharded backends.
+(which hash both structure and meter counts) stay bit-identical with and
+without the cache.  ``GeometryCache(enabled=False)`` is the uncached
+reference: installed on one thread with :func:`tenant_geometry_cache`, it
+recomputes every operation, and
+``tests/distributed/test_cache_differential.py`` compares fingerprints
+against it for all five algorithms.
 
 Process hygiene: the cache is per-process state.  Sharded worker processes
 call :func:`reset_geometry_cache` on (re)spawn so driver-side contents
-never leak across workers; the ``REPRO_NO_GEOM_CACHE`` environment
-variable (set by ``repro-cli analyze --no-geom-cache``) disables the fast
-path and propagates to forked workers.
+never leak across workers.
 
 Thread note: the thread backend shares this process-wide cache across
 replica analyses.  Individual dict operations are atomic under the GIL and
@@ -50,7 +51,6 @@ fingerprint.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
@@ -59,10 +59,6 @@ import numpy as np
 
 from repro.geometry import index_space as _ixmod
 from repro.geometry.index_space import IndexSpace
-
-#: Environment escape hatch: any truthy value disables the fast path
-#: (read at cache construction/reset so forked workers inherit it).
-ENV_DISABLE = "REPRO_NO_GEOM_CACHE"
 
 _MISS = object()  # sentinel: cached False must be distinguishable
 
@@ -75,11 +71,6 @@ _MISS = object()  # sentinel: cached False must be distinguishable
 _GENERATIONS = iter(range(1 << 62)).__next__
 
 
-def _env_enabled() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip().lower() not in (
-        "1", "true", "yes", "on")
-
-
 class GeometryCache:
     """Process-wide interner + versioned operation cache for index spaces.
 
@@ -89,19 +80,22 @@ class GeometryCache:
     iterative application re-warms in one iteration.  Interned uids are
     never reused (``_next_uid`` is monotonic), so clearing the intern
     table can only lose sharing, never correctness.
+
+    ``enabled=False`` builds the uncached reference: every operator
+    recomputes from the raw index arrays and nothing is stored.
     """
 
     def __init__(self, capacity: int = 1 << 16,
-                 enabled: Optional[bool] = None) -> None:
+                 enabled: bool = True) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
+        self.enabled = bool(enabled)
         self._generation = _GENERATIONS()
         self._next_uid = 0
-        self._init_state(enabled)
+        self._init_state()
 
-    def _init_state(self, enabled: Optional[bool]) -> None:
-        self.enabled = _env_enabled() if enabled is None else bool(enabled)
+    def _init_state(self) -> None:
         self._intern: dict[tuple, int] = {}
         #: monotonically increasing; bumped by :meth:`invalidate`
         self.version = 0
@@ -224,16 +218,15 @@ class GeometryCache:
         self.version += 1
         self.invalidations += 1
 
-    def reset(self, enabled: Optional[bool] = None) -> None:
+    def reset(self) -> None:
         """Return to a pristine state, distrusting every per-instance memo.
 
         Sharded worker processes call this on (re)spawn: a forked worker
         inherits the driver's cache by memory copy, and per-process cache
-        state must be rebuilt, not leaked.  Re-reads ``REPRO_NO_GEOM_CACHE``
-        unless ``enabled`` is given explicitly.
+        state must be rebuilt, not leaked.
         """
         self._generation = _GENERATIONS()
-        self._init_state(enabled)
+        self._init_state()
 
     # ------------------------------------------------------------------
     # observability
@@ -360,25 +353,9 @@ def geometry_cache() -> GeometryCache:
     return _CACHE
 
 
-def reset_geometry_cache(enabled: Optional[bool] = None) -> None:
+def reset_geometry_cache() -> None:
     """Reset the process-wide cache (worker spawn/respawn hygiene)."""
-    _CACHE.reset(enabled)
-
-
-def set_geometry_cache_enabled(flag: bool) -> None:
-    """Turn the fast path on or off without dropping its contents."""
-    _CACHE.enabled = bool(flag)
-
-
-@contextmanager
-def geometry_cache_disabled() -> Iterator[None]:
-    """Temporarily run uncached (differential harness / ablations)."""
-    prev = _CACHE.enabled
-    _CACHE.enabled = False
-    try:
-        yield
-    finally:
-        _CACHE.enabled = prev
+    _CACHE.reset()
 
 
 # ----------------------------------------------------------------------

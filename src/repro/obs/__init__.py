@@ -17,8 +17,6 @@ from repro.obs.census import (CENSUS_SCHEMA, census_diff, publish_census,
                               render_census, validate_census)
 from repro.obs.census import census as take_census
 from repro.obs.critpath import CritPathReport, critical_path, deps_from_spans
-from repro.obs.doctor import (HATCHES, Hatch, config_snapshot,
-                              render_doctor, resolve_hatches)
 from repro.obs.export import (load_trace, telemetry_counter_events,
                               telemetry_trace, to_chrome_trace,
                               trace_events, validate_trace, write_trace)
@@ -46,8 +44,6 @@ __all__ = [
     "CENSUS_SCHEMA", "take_census", "census_diff", "publish_census",
     "render_census", "validate_census",
     "CritPathReport", "critical_path", "deps_from_spans",
-    "HATCHES", "Hatch", "config_snapshot", "render_doctor",
-    "resolve_hatches",
     "load_trace", "telemetry_counter_events", "telemetry_trace",
     "to_chrome_trace", "trace_events", "validate_trace", "write_trace",
     "BLACKBOX_SCHEMA", "FlightRecorder", "active_recorder",

@@ -44,24 +44,13 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from repro.obs import tracer as tracer_mod
-from repro.obs.doctor import TRUTHY, config_snapshot
 from repro.obs.tracer import Instant, Span
 
 #: Schema tag of every dump file.
 BLACKBOX_SCHEMA = "repro.blackbox/1"
 
-#: Environment hard-disable: when truthy the recorder refuses to arm
-#: (registered in :data:`repro.obs.doctor.HATCHES`).
-ENV_DISABLE = "REPRO_NO_FLIGHT"
-
 #: Trigger kinds a dump can carry.
 TRIGGER_KINDS = ("slo", "breaker", "deadline", "recovery", "manual")
-
-
-def _env_disabled(environ: Optional[dict] = None) -> bool:
-    import os
-    env = os.environ if environ is None else environ
-    return env.get(ENV_DISABLE, "").strip().lower() in TRUTHY
 
 
 def _span_dict(span: Span) -> dict:
@@ -112,14 +101,8 @@ class FlightRecorder:
     exemplar_source:
         Zero-argument callable returning exemplar rows (wire
         :meth:`repro.obs.metrics.MetricsRegistry.exemplars`).
-    config_source:
-        Zero-argument callable returning the configuration snapshot
-        embedded in each dump; defaults to
-        :func:`repro.obs.doctor.config_snapshot`.
     armed:
-        Start recording immediately.  Arming is refused (silently — the
-        hatch exists for incident response, not for raising) when
-        ``REPRO_NO_FLIGHT`` is truthy.
+        Start recording immediately.
     """
 
     def __init__(self, directory=None, *, span_capacity: int = 256,
@@ -127,7 +110,6 @@ class FlightRecorder:
                  max_bytes: int = 256 * 1024, max_dumps: int = 8,
                  cooldown: float = 5.0, clock=None,
                  exemplar_source: Optional[Callable[[], list]] = None,
-                 config_source: Optional[Callable[[], dict]] = None,
                  armed: bool = False) -> None:
         self.directory = Path(directory) if directory is not None else None
         self.span_capacity = max(1, int(span_capacity))
@@ -139,7 +121,6 @@ class FlightRecorder:
         self.clock = clock if clock is not None \
             else tracer_mod._DEFAULT_CLOCK
         self.exemplar_source = exemplar_source
-        self.config_source = config_source or config_snapshot
         self._lock = threading.Lock()
         self._spans: dict[int, deque] = {}
         self._instants: deque = deque(maxlen=self.instant_capacity)
@@ -151,19 +132,14 @@ class FlightRecorder:
         self.dumps_suppressed = 0
         self.triggers_seen = 0
         self.last_dump: Optional[Path] = None
-        self.armed = bool(armed) and not _env_disabled()
+        self.armed = bool(armed)
 
     # ------------------------------------------------------------------
     # arming
     # ------------------------------------------------------------------
-    def arm(self) -> bool:
-        """Start recording; returns whether arming took effect
-        (``REPRO_NO_FLIGHT`` wins)."""
-        if _env_disabled():
-            self.armed = False
-            return False
+    def arm(self) -> None:
+        """Start recording."""
         self.armed = True
-        return True
 
     def disarm(self) -> None:
         self.armed = False
@@ -270,13 +246,9 @@ class FlightRecorder:
                 exemplars = list(self.exemplar_source())
             except Exception:  # evidence collection must not raise
                 exemplars = []
-        try:
-            config = self.config_source()
-        except Exception:
-            config = {}
         return {"schema": BLACKBOX_SCHEMA, "seq": self.dumps_written,
                 "trigger": dict(trigger),
-                "written_at": self.clock.monotonic(), "config": config,
+                "written_at": self.clock.monotonic(),
                 "shards": shards, "instants": instants,
                 "tenants": tenants, "exemplars": exemplars,
                 "dropped": {"spans": 0, "instants": 0, "events": 0}}
@@ -365,8 +337,8 @@ def set_recorder(recorder: FlightRecorder) -> FlightRecorder:
 # ----------------------------------------------------------------------
 # schema validation
 # ----------------------------------------------------------------------
-_TOP_KEYS = ("schema", "seq", "trigger", "written_at", "config",
-             "shards", "instants", "tenants", "exemplars", "dropped")
+_TOP_KEYS = ("schema", "seq", "trigger", "written_at", "shards",
+             "instants", "tenants", "exemplars", "dropped")
 _SPAN_KEYS = {"name": str, "category": str, "start": (int, float),
               "end": (int, float), "pid": int, "tid": int,
               "span_id": int, "args": dict}
@@ -460,8 +432,6 @@ def validate_blackbox(data) -> list[str]:
             if not isinstance(row.get("metric"), str):
                 problems.append(
                     f"exemplars[{k}].metric: missing or not a string")
-    if not isinstance(data["config"], dict):
-        problems.append("config: expected object")
     return problems
 
 
@@ -531,14 +501,6 @@ def render_blackbox(data: dict, top_k: int = 5) -> str:
     lines.append(f"trigger    : {what}"
                  + (f"  [{' '.join(who)}]" if who else "")
                  + f"  at t={trigger['ts']:.3f}")
-    overridden = {env: cfg for env, cfg in data["config"].items()
-                  if cfg.get("origin") == "env"}
-    if overridden:
-        effects = ", ".join(f"{env}={cfg['value']}"
-                            for env, cfg in sorted(overridden.items()))
-        lines.append(f"config     : {effects}")
-    else:
-        lines.append("config     : all escape hatches at defaults")
     span_counts = {sid: len(s["spans"])
                    for sid, s in sorted(data["shards"].items())}
     total_spans = sum(span_counts.values())

@@ -19,7 +19,6 @@ from collections import deque
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.obs import tracer as obs
-from repro.runtime import order as order_mod
 from repro.runtime.order import OrderMaintainer
 from repro.runtime.task import Task
 
@@ -31,25 +30,15 @@ class DependenceGraph:
     Alongside the edge lists the graph maintains a compact
     :class:`~repro.runtime.order.OrderMaintainer` label per task (one
     bitwise OR per edge on ``add_task``), so the transitive-closure
-    helpers (``contains_transitively`` / ``missing_pairs``) answer from
-    labels instead of repeated BFS — pure acceleration, bit-identical
-    answers, with a BFS fallback when labels are absent
-    (``maintain_labels=False`` or the ``REPRO_NO_PRECEDENCE`` escape
-    hatch) and a differential mode cross-checking both paths
-    (``differential=True`` or ``REPRO_PRECEDENCE_DIFFERENTIAL``).
+    helpers (``contains_transitively`` / ``missing_pairs``) answer each
+    pair with an O(1) label test.  :meth:`ancestors_of` (BFS) is the
+    reference the tests compare the labels against.
     """
 
-    def __init__(self, maintain_labels: Optional[bool] = None,
-                 differential: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._deps: dict[int, frozenset[int]] = {}
         self._levels: Optional[dict[int, int]] = None
-        if maintain_labels is None:
-            maintain_labels = order_mod.order_maintenance_enabled()
-        self._order: Optional[OrderMaintainer] = (
-            OrderMaintainer() if maintain_labels else None)
-        if differential is None:
-            differential = order_mod.differential_enabled()
-        self._differential = bool(differential)
+        self._order = OrderMaintainer()
 
     # ------------------------------------------------------------------
     def add_task(self, task_id: int, dependences: Iterable[int]) -> None:
@@ -57,7 +46,11 @@ class DependenceGraph:
 
         Assigns the task's order label in the same step (the ids in
         ``dependences`` are labelled already — they are earlier tasks).
+        Ids are bit positions in the labels, so they must be
+        non-negative.
         """
+        if task_id < 0:
+            raise ValueError(f"task id must be non-negative, got {task_id}")
         deps = frozenset(dependences)
         for d in deps:
             if d >= task_id:
@@ -67,17 +60,11 @@ class DependenceGraph:
                 raise ValueError(f"dependence on unknown task {d}")
         self._deps[task_id] = deps
         self._levels = None
-        if self._order is not None:
-            if task_id < 0:
-                # negative ids have no bit position; degrade to BFS-only
-                self._order = None
-            else:
-                self._order.assign(task_id, deps)
+        self._order.assign(task_id, deps)
 
     @property
-    def order_maintainer(self) -> Optional[OrderMaintainer]:
-        """The label store backing the O(1) precedence fast path (None
-        when label maintenance is disabled)."""
+    def order_maintainer(self) -> OrderMaintainer:
+        """The label store backing the O(1) precedence queries."""
         return self._order
 
     def dependences_of(self, task_id: int) -> frozenset[int]:
@@ -148,46 +135,23 @@ class DependenceGraph:
             queue.extend(self._deps[t] - seen)
         return seen
 
-    def _covers(self, earlier: int, later: int,
-                cache: dict[int, set[int]]) -> bool:
-        """One (earlier, later) path query: O(1) label test when labels
-        are available, cached BFS otherwise (and, in differential mode,
-        both — asserting they agree)."""
-        if self._order is not None:
-            answer = self._order.precedes(earlier, later)
-            if answer is not None:
-                if self._differential:
-                    if later not in cache:
-                        cache[later] = self.ancestors_of(later)
-                    bfs = earlier in cache[later]
-                    if bfs != answer:
-                        raise AssertionError(
-                            f"precedence differential: labels say "
-                            f"{earlier} precedes {later} is {answer}, "
-                            f"BFS says {bfs}")
-                return answer
-        if later not in cache:
-            cache[later] = self.ancestors_of(later)
-        return earlier in cache[later]
+    def _covers(self, earlier: int, later: int) -> bool:
+        """One (earlier, later) path query: an O(1) label test."""
+        answer = self._order.precedes(earlier, later)
+        if answer is None:
+            raise KeyError(later)
+        return answer
 
     def contains_transitively(self, pairs: Iterable[tuple[int, int]]) -> bool:
         """Whether each (earlier, later) pair is connected by a path."""
-        cache: dict[int, set[int]] = {}
-        for earlier, later in pairs:
-            if not self._covers(earlier, later, cache):
-                return False
-        return True
+        return all(self._covers(earlier, later) for earlier, later in pairs)
 
     def missing_pairs(self, pairs: Iterable[tuple[int, int]]
                       ) -> list[tuple[int, int]]:
         """The subset of (earlier, later) pairs *not* covered by a path —
         empty for a sound analysis (diagnostics for test failures)."""
-        cache: dict[int, set[int]] = {}
-        out = []
-        for earlier, later in pairs:
-            if not self._covers(earlier, later, cache):
-                out.append((earlier, later))
-        return out
+        return [(earlier, later) for earlier, later in pairs
+                if not self._covers(earlier, later)]
 
 
 def oracle_dependences(tasks: Sequence[Task]) -> set[tuple[int, int]]:

@@ -30,48 +30,15 @@ word-parallel over the stream length); queries never walk the graph.
 
 The consumer is :class:`~repro.runtime.dependence.DependenceGraph`: it
 maintains an :class:`OrderMaintainer` on ``add_task`` and answers
-``contains_transitively`` / ``missing_pairs`` from labels instead of
-repeated BFS (pure acceleration — answers are bit-identical, with an
-opt-in differential mode cross-checking both paths).  Dependence scans
-never consult the labels: every algorithm reports its edges from the
-history walk alone.
-
-Environment knobs (mirroring the geometry fast path's hygiene):
-
-* ``REPRO_NO_PRECEDENCE`` — hard escape hatch: disables label
-  maintenance everywhere (graphs fall back to BFS).
-* ``REPRO_PRECEDENCE_DIFFERENTIAL`` — cross-check every label answer
-  against BFS inside the soundness helpers (tests/debugging).
+``contains_transitively`` / ``missing_pairs`` from labels alone.  The
+BFS closure ``DependenceGraph.ancestors_of`` stays as the reference the
+tests compare labels against.  Dependence scans never consult the
+labels: every algorithm reports its edges from the history walk alone.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Optional
-
-#: Hard escape hatch: any truthy value disables label maintenance
-#: everywhere.
-ENV_DISABLE = "REPRO_NO_PRECEDENCE"
-
-#: Cross-check label answers against BFS in the soundness helpers.
-ENV_DIFFERENTIAL = "REPRO_PRECEDENCE_DIFFERENTIAL"
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def _truthy(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
-def order_maintenance_enabled() -> bool:
-    """Whether graphs maintain order labels (default on; pure
-    acceleration, bit-identical answers)."""
-    return not _truthy(ENV_DISABLE)
-
-
-def differential_enabled() -> bool:
-    """Whether the soundness helpers cross-check labels against BFS."""
-    return _truthy(ENV_DIFFERENTIAL)
 
 
 class OrderLabel:
@@ -142,9 +109,9 @@ class OrderMaintainer:
     def precedes(self, a: int, b: int) -> Optional[bool]:
         """Exact label answer to "does ``a`` strictly precede ``b``?"
 
-        Returns ``None`` when ``b`` has no label (caller falls back to
-        BFS); an unlabelled or out-of-universe ``a`` trivially does not
-        precede anything, which the bitmap answers correctly.
+        Returns ``None`` when ``b`` has no label; an unlabelled or
+        out-of-universe ``a`` trivially does not precede anything, which
+        the bitmap answers correctly.
         """
         lb = self._labels.get(b)
         if lb is None:
@@ -158,7 +125,7 @@ class OrderMaintainer:
 
     def ancestors(self, task_id: int) -> Optional[set[int]]:
         """The full ancestor set decoded from the bitmap (None when
-        unlabelled).  Used by differential checks and tests — the hot
+        unlabelled).  Used by tests — the hot
         paths only ever test single bits."""
         label = self._labels.get(task_id)
         if label is None:

@@ -581,7 +581,9 @@ class AnalysisService:
         before each tick: per-tenant geometry-cache counters and every
         live slot's analysis profile and recovery state (via
         :meth:`~repro.distributed.sharded.ShardedRuntime
-        .publish_telemetry`).
+        .publish_telemetry`).  Slot series carry the slot key and epoch:
+        each runtime's totals are monotonic only on their own, and a
+        rebuilt slot starts again from zero.
 
         Must run on the service's event loop (``repro serve`` ticks the
         hub from an asyncio task), where slot maps are only ever
@@ -593,7 +595,9 @@ class AnalysisService:
                 for slot in tenant.slots.values():
                     if slot.runtime is not None:
                         slot.runtime.publish_telemetry(
-                            registry, tenant=tenant.name)
+                            registry, tenant=tenant.name,
+                            slot="/".join(map(str, slot.key)),
+                            epoch=str(slot.epoch))
         return sample
 
     # -- introspection ---------------------------------------------------

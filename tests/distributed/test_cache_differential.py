@@ -2,45 +2,32 @@
 
 Analysis fingerprints hash the dependence graph, the equivalence-set
 structure tokens, *and* the cost-meter counter snapshot.  These tests run
-the same program with the operation cache + batched kernel enabled and
-disabled — for every coherence algorithm, plain and sharded across every
-backend — and require bit-identical fingerprints.  Any cached result that
-diverges from a fresh computation, or any batched verdict that differs
-from the scalar path, or any stray meter count introduced by the fast
-path, lands here.
+the same program on the process-wide operation cache + batched kernel and
+on the uncached reference (``GeometryCache(enabled=False)`` installed on
+the calling thread) for every coherence algorithm, and require
+bit-identical fingerprints.  Any cached result that diverges from a fresh
+computation, or any batched verdict that differs from the scalar path, or
+any stray meter count introduced by the fast path, lands here.  The
+sharded backends are pinned to the same fingerprints by
+``test_golden_fingerprints.py``.
 """
-
-import os
 
 import pytest
 
 from repro import ALGORITHMS, Runtime
-from repro.distributed import BACKENDS, ShardedRuntime
 from repro.distributed.verify import analysis_fingerprint
-from repro.geometry.fastpath import (ENV_DISABLE, geometry_cache,
-                                     geometry_cache_disabled,
-                                     reset_geometry_cache)
+from repro.geometry.fastpath import (GeometryCache, geometry_cache,
+                                     reset_geometry_cache,
+                                     tenant_geometry_cache)
 
 from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 
 
 @pytest.fixture(autouse=True)
-def clean_cache_env():
-    """Each test starts from the env-default cache state and restores it
-    (the env var must not leak into other tests' forked workers)."""
-    os.environ.pop(ENV_DISABLE, None)
+def clean_cache():
     reset_geometry_cache()
     yield
-    os.environ.pop(ENV_DISABLE, None)
     reset_geometry_cache()
-
-
-def _sharded_fingerprints(algo: str, backend: str, shards: int = 4) -> set:
-    tree, P, G = make_fig1_tree()
-    with ShardedRuntime(tree, fig1_initial(tree), shards=shards,
-                        algorithm=algo, backend=backend) as srt:
-        reports = srt.analyze(fig1_stream(tree, P, G, 2))
-    return {r.fingerprint for r in reports}
 
 
 class TestCacheDifferential:
@@ -48,7 +35,6 @@ class TestCacheDifferential:
     def test_plain_runtime_bit_identical(self, algo):
         tree, P, G = make_fig1_tree()
         stream = fig1_stream(tree, P, G, 2)
-        reset_geometry_cache(enabled=True)
         rt = Runtime(tree, fig1_initial(tree), algorithm=algo)
         rt.replay(stream)
         cached = analysis_fingerprint(rt)
@@ -56,20 +42,8 @@ class TestCacheDifferential:
             stats = geometry_cache().stats()
             assert stats["hits"] + stats["misses"] > 0, \
                 "the fast path never ran — the differential proves nothing"
-        with geometry_cache_disabled():
+        with tenant_geometry_cache(GeometryCache(enabled=False)):
             rt2 = Runtime(tree, fig1_initial(tree), algorithm=algo)
             rt2.replay(stream)
             uncached = analysis_fingerprint(rt2)
         assert cached == uncached, algo
-
-    @pytest.mark.parametrize("backend", list(BACKENDS))
-    @pytest.mark.parametrize("algo", list(ALGORITHMS))
-    def test_sharded_bit_identical(self, algo, backend):
-        cached = _sharded_fingerprints(algo, backend)
-        assert len(cached) == 1, (algo, backend, sorted(cached))
-        # REPRO_NO_GEOM_CACHE propagates into forked workers, so this
-        # disables the fast path on every backend, not just in-process
-        os.environ[ENV_DISABLE] = "1"
-        reset_geometry_cache()
-        uncached = _sharded_fingerprints(algo, backend)
-        assert cached == uncached, (algo, backend)

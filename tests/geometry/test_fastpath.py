@@ -8,10 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import IndexSpace
-from repro.geometry.fastpath import (ENV_DISABLE, GeometryCache,
-                                     batch_overlaps, geometry_cache,
-                                     geometry_cache_disabled,
-                                     reset_geometry_cache)
+from repro.geometry.fastpath import (GeometryCache, batch_overlaps,
+                                     geometry_cache, reset_geometry_cache,
+                                     tenant_geometry_cache)
 from repro.obs import MetricsRegistry
 
 from tests.conftest import index_spaces
@@ -19,8 +18,8 @@ from tests.conftest import index_spaces
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Every test starts (and leaves behind) a pristine enabled cache."""
-    reset_geometry_cache(enabled=True)
+    """Every test starts (and leaves behind) a pristine cache."""
+    reset_geometry_cache()
     yield
     reset_geometry_cache()
 
@@ -53,7 +52,7 @@ class TestInterning:
         cache = geometry_cache()
         a = IndexSpace.from_range(0, 10)
         old = cache.uid_of(a)
-        cache.reset(enabled=True)
+        cache.reset()
         assert cache.uid_of(a) is not None
         # fresh generation: the memo was recomputed, not trusted
         assert a._uid[0] == cache._generation
@@ -114,7 +113,7 @@ class TestOperationCache:
 
     def test_disabled_cache_computes_fresh(self):
         a, b = spaces((0, 100), (50, 150))
-        with geometry_cache_disabled():
+        with tenant_geometry_cache(GeometryCache(enabled=False)):
             r1 = a & b
             r2 = a & b
             assert r1 is not r2
@@ -141,20 +140,12 @@ class TestOperationCache:
         assert cache.uid_of(a) == uid
 
     def test_eviction_clears_full_table(self):
-        cache = GeometryCache(capacity=4, enabled=True)
+        cache = GeometryCache(capacity=4)
         sps = spaces(*[(i, i + 10) for i in range(8)])
         for s in sps:
             cache.overlaps(sps[0], s)
         assert cache.evictions > 0
         assert len(cache._ovl) <= 4
-
-    def test_env_var_disables(self, monkeypatch):
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        cache = GeometryCache()
-        assert not cache.enabled
-        monkeypatch.delenv(ENV_DISABLE)
-        cache.reset()
-        assert cache.enabled
 
     def test_stats_and_publish(self):
         cache = geometry_cache()
@@ -211,7 +202,7 @@ class TestBatchOverlaps:
         query = IndexSpace(rng.choice(200, size=30, replace=False))
         candidates = [IndexSpace(rng.choice(200, size=10, replace=False))
                       for _ in range(10)]
-        with geometry_cache_disabled():
+        with tenant_geometry_cache(GeometryCache(enabled=False)):
             got = batch_overlaps(query, candidates)
         assert list(got) == [query._overlaps_raw(c) for c in candidates]
 

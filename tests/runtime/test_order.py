@@ -11,9 +11,9 @@ The central claims under test, mirroring the module contract of
   label-store lookups (at most two ``dict.get`` calls) and zero BFS
   walks, independent of graph size.
 * **Scaling** — the soundness-harness helpers (``missing_pairs`` /
-  ``contains_transitively``) stop issuing per-pair BFS traversals once
-  labels are available: a 2k-task check performs zero ``ancestors_of``
-  calls, where the BFS fallback performs one per distinct later task.
+  ``contains_transitively``) issue no BFS traversals: a 2k-task check
+  performs zero ``ancestors_of`` calls, where the BFS reference performs
+  one per distinct later task.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from hypothesis import strategies as st
 
 from repro import Runtime
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.order import (ENV_DISABLE, OrderMaintainer,
-                                 differential_enabled,
-                                 order_maintenance_enabled)
+from repro.runtime.order import OrderMaintainer
 from repro.visibility.base import INITIAL_TASK_ID
 
 from tests.conftest import random_programs
@@ -52,19 +50,32 @@ def random_dags(draw, max_tasks: int = 28):
     return edges
 
 
-def build_graph(edges, **kwargs) -> DependenceGraph:
-    g = DependenceGraph(**kwargs)
+def build_graph(edges, graph=None) -> DependenceGraph:
+    g = DependenceGraph() if graph is None else graph
     for tid, deps in enumerate(edges):
         g.add_task(tid, deps)
     return g
+
+
+def reference_missing_pairs(graph: DependenceGraph, pairs):
+    """``missing_pairs`` answered by BFS alone: one ``ancestors_of``
+    walk per distinct later task."""
+    closure: dict[int, set[int]] = {}
+    out = []
+    for earlier, later in pairs:
+        if later not in closure:
+            closure[later] = graph.ancestors_of(later)
+        if earlier not in closure[later]:
+            out.append((earlier, later))
+    return out
 
 
 class CountingGraph(DependenceGraph):
     """DependenceGraph that counts BFS traversals (the operation the
     label fast path exists to eliminate)."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self) -> None:
+        super().__init__()
         self.bfs_calls = 0
 
     def ancestors_of(self, task_id: int) -> set[int]:
@@ -89,7 +100,7 @@ class CountingLabelStore(dict):
 class TestExactness:
     @given(random_dags())
     def test_precedes_matches_bfs_on_random_dags(self, edges):
-        g = build_graph(edges, maintain_labels=True)
+        g = build_graph(edges)
         om = g.order_maintainer
         assert om is not None
         n = len(edges)
@@ -103,7 +114,7 @@ class TestExactness:
 
     @given(random_dags())
     def test_label_invariants(self, edges):
-        g = build_graph(edges, maintain_labels=True)
+        g = build_graph(edges)
         om = g.order_maintainer
         levels = g.levels()
         for tid, deps in enumerate(edges):
@@ -132,7 +143,7 @@ class TestExactness:
     def test_unlabelled_and_negative_ids(self):
         om = OrderMaintainer()
         om.assign(0, [])
-        assert om.precedes(0, 5) is None       # unlabelled target: fall back
+        assert om.precedes(0, 5) is None       # unlabelled target: no answer
         assert om.precedes(5, 0) is False      # unlabelled source: exact no
         assert om.precedes(INITIAL_TASK_ID, 0) is False
         assert om.reach_mask(INITIAL_TASK_ID) == 0
@@ -161,7 +172,7 @@ class TestNoTraversal:
         assert CountingLabelStore.gets <= 2 * queries
 
     def test_oracle_never_walks_the_graph(self):
-        g = CountingGraph(maintain_labels=True)
+        g = CountingGraph()
         for t in range(200):
             g.add_task(t, [t - 1] if t else [])
         om = g.order_maintainer
@@ -171,91 +182,48 @@ class TestNoTraversal:
         assert g.bfs_calls == 0
 
     def test_soundness_check_scaling_2k_chain(self):
-        """The 2k-task soundness check: zero BFS with labels, one BFS per
-        distinct later task without — and measurably faster wall-clock."""
+        """The 2k-task soundness check: zero BFS from the labels, one BFS
+        per distinct later task from the reference — and measurably
+        faster wall-clock."""
         n = 2048
         chain = [[t - 1] if t else [] for t in range(n)]
         pairs = [(0, j) for j in range(1, n)]
+        graph = build_graph(chain, CountingGraph())
 
-        labelled = CountingGraph(maintain_labels=True)
-        for t, deps in enumerate(chain):
-            labelled.add_task(t, deps)
         t0 = time.perf_counter()
-        assert labelled.missing_pairs(pairs) == []
+        assert graph.missing_pairs(pairs) == []
         labelled_seconds = time.perf_counter() - t0
-        assert labelled.bfs_calls == 0
+        assert graph.bfs_calls == 0
 
-        plain = CountingGraph(maintain_labels=False)
-        for t, deps in enumerate(chain):
-            plain.add_task(t, deps)
         t0 = time.perf_counter()
-        assert plain.missing_pairs(pairs) == []
-        plain_seconds = time.perf_counter() - t0
-        assert plain.bfs_calls == n - 1
+        assert reference_missing_pairs(graph, pairs) == []
+        bfs_seconds = time.perf_counter() - t0
+        assert graph.bfs_calls == n - 1
 
-        # On a 2k chain the BFS path does ~n²/2 node visits versus the
-        # label path's n bit tests; any sane machine shows the gap.
-        assert labelled_seconds < plain_seconds
+        # On a 2k chain the BFS reference does ~n²/2 node visits versus
+        # the label path's n bit tests; any sane machine shows the gap.
+        assert labelled_seconds < bfs_seconds
 
 
 # ----------------------------------------------------------------------
-# environment knobs and graph integration
+# the graph helpers against the BFS reference
 # ----------------------------------------------------------------------
-class TestConfiguration:
-    def test_env_flags(self, monkeypatch):
-        monkeypatch.delenv(ENV_DISABLE, raising=False)
-        assert order_maintenance_enabled()
-        assert not differential_enabled()
+class TestGraphHelpers:
+    @given(random_dags())
+    @settings(max_examples=25)
+    def test_helpers_match_ancestors_reference(self, edges):
+        g = build_graph(edges)
+        n = len(edges)
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        missing = reference_missing_pairs(g, pairs)
+        assert g.missing_pairs(pairs) == missing
+        covered = [p for p in pairs if p not in set(missing)]
+        assert g.contains_transitively(covered)
+        for pair in missing:
+            assert not g.contains_transitively([pair])
 
-        monkeypatch.setenv(ENV_DISABLE, "1")
-        assert not order_maintenance_enabled()
-
-    def test_disable_env_reaches_graphs_and_runtimes(self, monkeypatch,
-                                                     fig1):
-        monkeypatch.setenv(ENV_DISABLE, "1")
+    def test_negative_id_rejected(self):
         g = DependenceGraph()
-        g.add_task(0, [])
-        assert g.order_maintainer is None
-        tree, P, G = fig1
-        from tests.conftest import fig1_initial
-        rt = Runtime(tree, fig1_initial(tree), algorithm="painter")
-        assert rt.graph.order_maintainer is None
-
-    def test_negative_ids_degrade_to_bfs(self):
-        g = DependenceGraph(maintain_labels=True)
-        g.add_task(-1, [])
-        assert g.order_maintainer is None
-        g.add_task(0, [])
-        g.add_task(1, [0])
-        # helpers still answer correctly via the BFS fallback
-        assert g.contains_transitively([(0, 1)])
-        assert g.missing_pairs([(1, 0)]) == [(1, 0)]
-
-    @given(random_dags())
-    @settings(max_examples=25)
-    def test_helpers_agree_with_and_without_labels(self, edges):
-        with_labels = build_graph(edges, maintain_labels=True)
-        without = build_graph(edges, maintain_labels=False)
-        n = len(edges)
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        assert with_labels.missing_pairs(pairs) == without.missing_pairs(pairs)
-        covered = [p for p in pairs if p not in set(without.missing_pairs(pairs))]
-        if covered:
-            assert with_labels.contains_transitively(covered)
-
-    @given(random_dags())
-    @settings(max_examples=25)
-    def test_differential_mode_passes_on_correct_labels(self, edges):
-        g = build_graph(edges, maintain_labels=True, differential=True)
-        n = len(edges)
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        g.missing_pairs(pairs)  # must not raise
-
-    def test_differential_mode_catches_corrupt_labels(self):
-        g = build_graph([[], [0], [1]], maintain_labels=True,
-                        differential=True)
-        # sabotage: claim task 0 does not reach task 2
-        label = g.order_maintainer.label(2)
-        label.reach &= ~1
-        with pytest.raises(AssertionError, match="precedence differential"):
-            g.contains_transitively([(0, 2)])
+        with pytest.raises(ValueError, match="non-negative"):
+            g.add_task(-1, [])
+        assert len(g) == 0

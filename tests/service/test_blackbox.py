@@ -86,7 +86,7 @@ def run_incident(directory, seed):
                 hub.sample()
 
     try:
-        assert recorder.arm()
+        recorder.arm()
         run(scenario())
     finally:
         tracing.set_tracer(previous_tracer)
@@ -96,8 +96,7 @@ def run_incident(directory, seed):
 
 class TestIncidentEndToEnd:
     def test_outage_fires_alert_and_dumps_a_valid_blackbox(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+            self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
         assert recorder.dumps_written == 1
         assert recorder.triggers_seen >= 1
@@ -107,9 +106,7 @@ class TestIncidentEndToEnd:
         assert "firing" in data["trigger"]["detail"]
         assert "availability" in data["trigger"]["detail"]
 
-    def test_dump_attributes_the_offending_tenant(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+    def test_dump_attributes_the_offending_tenant(self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
         data = load_blackbox(recorder.last_dump)
 
@@ -128,8 +125,7 @@ class TestIncidentEndToEnd:
         assert all(e["tenant"] == "victim" for e in events)
 
     def test_at_least_one_exemplar_resolves_to_a_dumped_span(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+            self, tmp_path):
         recorder = run_incident(tmp_path, seed=7)
         data = load_blackbox(recorder.last_dump)
 
@@ -147,9 +143,7 @@ class TestIncidentEndToEnd:
 
 
 class TestSeededDeterminism:
-    def test_same_seed_gives_byte_identical_dumps(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+    def test_same_seed_gives_byte_identical_dumps(self, tmp_path):
         run_incident(tmp_path / "a", seed=11)
         run_incident(tmp_path / "b", seed=11)
         first = (tmp_path / "a" / "blackbox-00000.json").read_bytes()
@@ -157,8 +151,7 @@ class TestSeededDeterminism:
         assert first == again
 
     def test_different_seed_samples_different_exemplars(
-            self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+            self, tmp_path):
         a = run_incident(tmp_path / "a", seed=11)
         c = run_incident(tmp_path / "c", seed=12)
         rows_a = load_blackbox(a.last_dump)["exemplars"]
@@ -187,15 +180,14 @@ class TestObserverEffect:
     @pytest.mark.parametrize("backend,kwargs", BACKENDS,
                              ids=[b for b, _ in BACKENDS])
     def test_fingerprints_identical_recorder_on_and_off(
-            self, backend, kwargs, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_FLIGHT", raising=False)
+            self, backend, kwargs):
 
         def fingerprints(armed):
             recorder = FlightRecorder()  # no directory: never writes
             previous = set_recorder(recorder)
             try:
                 if armed:
-                    assert recorder.arm()
+                    recorder.arm()
                 return fig1_fingerprints(backend, kwargs)
             finally:
                 set_recorder(previous)

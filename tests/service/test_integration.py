@@ -17,6 +17,7 @@ import pytest
 from repro import ALGORITHMS
 from repro.geometry.fastpath import geometry_cache
 from repro.obs import provenance as prov
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import ProvenanceLedger
 from repro.service import (OK, AnalysisService, SessionRequest,
                            verify_sessions)
@@ -129,3 +130,32 @@ class TestTenantIsolationSeams:
         # ... and the process-global cache saw none of it
         after = global_cache.stats()
         assert after == before
+
+
+class TestTelemetrySampler:
+    def test_each_slot_publishes_its_own_series(self):
+        """Two slots of one tenant at different session counts must not
+        share counter series: the second slot's smaller totals would
+        move the first slot's counters backwards."""
+        registry = MetricsRegistry()
+
+        async def main():
+            async with AnalysisService(backend="serial", shards=2,
+                                       rate=1000.0, burst=1000.0) as svc:
+                sample = svc.telemetry_sampler()
+                for _ in range(2):
+                    result = await svc.submit(
+                        SessionRequest(tenant="t", algorithm="raycast"))
+                    assert result.status == OK
+                sample(registry)
+                result = await svc.submit(
+                    SessionRequest(tenant="t", algorithm="warnock"))
+                assert result.status == OK
+                sample(registry)
+
+        asyncio.run(main())
+        for algorithm, sessions in (("raycast", 2), ("warnock", 1)):
+            calls = registry.find("profile.calls", tenant="t",
+                                  slot=f"stencil/4/{algorithm}", epoch="0",
+                                  phase="analyze")
+            assert calls is not None and calls.value == sessions
