@@ -2,8 +2,8 @@
 
 Unlike the figure benchmarks — which replay metered operation counts onto
 a *simulated* machine — this one measures real elapsed time: the same
-8-shard stencil stream analyzed by the serial, thread and process
-backends with deterministic-merge verification on.  It writes
+8-shard stencil stream analyzed by the serial and process backends
+with deterministic-merge verification on.  It writes
 ``parallel_analysis.tsv`` with per-phase perf counters (analysis wall
 clock, slowest shard window, merge/verify time, pickled bytes shipped)
 and asserts the cross-backend determinism contract on every run; the
@@ -24,7 +24,7 @@ from repro.bench.harness import render_parallel_rows, run_parallel_analysis
 from benchmarks.conftest import write_result
 
 SHARDS = 8
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 def _usable_cores() -> int:

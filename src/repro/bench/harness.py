@@ -204,8 +204,7 @@ class ParallelAnalysisRow:
 
 def run_parallel_analysis(app_factory: Callable[[int], Application],
                           shards: int = 8,
-                          backends: Sequence[str] = ("serial", "thread",
-                                                     "process"),
+                          backends: Sequence[str] = ("serial", "process"),
                           steady_iterations: int = 3,
                           algorithm: str = "raycast"
                           ) -> list[ParallelAnalysisRow]:

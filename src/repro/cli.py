@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="control-replicated shard count")
     ana.add_argument("--parallel", type=int, default=1, metavar="N",
                      help="analysis workers (1 = serial backend)")
-    ana.add_argument("--backend", choices=["serial", "thread", "process"],
+    ana.add_argument("--backend", choices=["serial", "process"],
                      default=None,
                      help="force a backend (default: process when "
                           "--parallel > 1, else serial)")
@@ -194,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     srv = sub.add_parser("serve",
                          help="boot the multi-tenant analysis service and "
                               "drive it with the seeded load generator")
-    srv.add_argument("--backend", choices=["serial", "thread", "process"],
+    srv.add_argument("--backend", choices=["serial", "process"],
                      default="process",
                      help="backend for tenant runtime slots (default: "
                           "process)")
@@ -482,8 +482,7 @@ def _cmd_analyze(args) -> int:
             print(f"merge verified: {len(reports)} identical analyses "
                   f"({len(graph)} tasks, {graph.edge_count()} edges, "
                   f"critical path {graph.critical_path_length()})")
-            if srt.recovery is not None and (faults is not None
-                                             or srt.recovery.has_activity):
+            if faults is not None or srt.recovery.has_activity:
                 print(f"recovery: {srt.recovery.render()}")
             if args.profile:
                 print()
@@ -496,8 +495,7 @@ def _cmd_analyze(args) -> int:
                     srt.backend.reference.meter.publish_to(registry)
                     srt.profile.publish_to(registry)
                     geometry_cache().publish_to(registry)
-                    if srt.recovery is not None:
-                        srt.recovery.publish_to(registry)
+                    srt.recovery.publish_to(registry)
                     seconds_hist = registry.histogram(
                         "analysis.shard_seconds")
                     for report in reports:

@@ -18,9 +18,9 @@ The message log makes communication volume a measurable quantity
 (`benchmarks/test_ablation_comm.py` reports bytes per iteration for the
 three benchmark applications).
 
-The replicated analyses themselves run on a pluggable executor
-(:mod:`repro.distributed.backends`: serial / thread pool / process pool
-with pickled task-stream shipping) followed by a deterministic-merge
+The replicated analyses themselves run on one backend
+(:mod:`repro.distributed.backends`: replicas hosted in-process or on a
+process pool, both fed by pickled task-stream shipping) followed by a deterministic-merge
 verification step (:mod:`repro.distributed.verify`) that hashes each
 shard's dependence graph and equivalence-set refinement trace and fails
 fast with a structured diff on divergence.
@@ -36,8 +36,7 @@ counts everything the supervisor saw and did.
 """
 
 from repro.distributed.backends import (BACKENDS, AnalysisBackend,
-                                        ProcessBackend, SerialBackend,
-                                        ThreadBackend, make_backend)
+                                        ProcessBackend, make_backend)
 from repro.distributed.faults import (FAULT_KINDS, NO_FAULTS, CorruptReply,
                                       FakeClock, FaultEvent, FaultPlan,
                                       RecoveryReport, RetryPolicy,
@@ -50,7 +49,7 @@ from repro.distributed.verify import (DeterminismError, ShardReport,
                                       structure_fingerprint)
 
 __all__ = ["MessageLog", "ShardedRuntime", "AnalysisBackend", "BACKENDS",
-           "SerialBackend", "ThreadBackend", "ProcessBackend",
+           "ProcessBackend",
            "make_backend", "DeterminismError", "ShardReport",
            "analysis_fingerprint", "graph_fingerprint",
            "structure_fingerprint",

@@ -1,25 +1,27 @@
-"""Pluggable execution backends for replicated shard analysis.
+"""The execution backend for replicated shard analysis.
 
 :class:`~repro.distributed.sharded.ShardedRuntime` must run the same
 dependence analysis once per control-replicated shard (the DCR contract).
 The analyses are completely independent — they share no mutable state and
-must reach bit-identical conclusions — so they are embarrassingly
-parallel.  This module provides three interchangeable ways to run them:
+must reach bit-identical conclusions.  :class:`AnalysisBackend` runs
+replica 0 (the *reference*) on the driver and hosts replicas 1..N-1
+behind handles that all speak one protocol over a :class:`_Hosting` — a
+private region-tree replica plus one :class:`Runtime` per hosted shard,
+fed by *pickled task-stream shipping*: task streams are encoded into a
+compact picklable form (task bodies are never shipped — replica analysis
+runs with ``body=None``), structural deltas (partitions created since the
+last ship) ride along, and each host returns only fingerprints and
+timing.  Dependence dumps for divergence diffs are fetched lazily, on
+mismatch.  The backend name only decides where the hostings live:
 
-* :class:`SerialBackend` — one after another, in-process (the reference
-  semantics, and the fastest option for tiny streams);
-* :class:`ThreadBackend` — a thread pool over in-process replicas (cheap
-  to set up; NumPy kernels release the GIL, pure-Python scan code does
-  not);
-* :class:`ProcessBackend` — persistent worker processes, one hosting each
-  remote replica, fed by *pickled task-stream shipping*: region trees and
-  task streams are encoded into a compact picklable form (task bodies are
-  never shipped — replica analysis runs with ``body=None``), structural
-  deltas (partitions created since the last ship) ride along, and each
-  worker returns only its analysis fingerprint and timing.  Dependence
-  dumps for divergence diffs are fetched lazily, on mismatch.
+* ``"serial"`` — one in-process :class:`_LocalHandle` hosting every
+  remote replica, built from the pickled genesis snapshot; nothing is
+  spawned or shipped;
+* ``"process"`` — persistent, supervised worker processes
+  (:class:`_WorkerHandle`); a worker lost for good has its replicas moved
+  to a surviving worker or onto the same in-process hosting.
 
-Every backend returns per-shard :class:`~repro.distributed.verify.ShardReport`
+Every analysis returns per-shard :class:`~repro.distributed.verify.ShardReport`
 rows; the deterministic-merge verification over them lives in
 :mod:`repro.distributed.verify`.
 """
@@ -29,8 +31,6 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ from repro.distributed.faults import (HANG_SECONDS, NO_FAULTS, CorruptReply,
 from repro.distributed.verify import ShardReport, analysis_fingerprint
 
 #: Registry names accepted by :func:`make_backend`.
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 # ----------------------------------------------------------------------
@@ -128,170 +128,7 @@ def decode_requirements(task_record: tuple,
 
 
 # ----------------------------------------------------------------------
-# backend protocol
-# ----------------------------------------------------------------------
-class AnalysisBackend(ABC):
-    """Runs the N replicated analyses of each executed stream.
-
-    Replica 0 — the *reference* — always lives in the calling process so
-    that :attr:`ShardedRuntime.graph` and the analysis meter stay directly
-    observable; backends differ in where replicas 1..N-1 run.
-    """
-
-    #: Registry name, overridden by each concrete backend.
-    name = "abstract"
-
-    def __init__(self, tree: RegionTree,
-                 initial: Mapping[str, np.ndarray],
-                 algorithm: str, replicas: int) -> None:
-        if replicas < 1:
-            raise MachineError("need at least one analysis replica")
-        self.tree = tree
-        self.algorithm = algorithm
-        self.replicas = replicas
-        self.reference = Runtime(tree, initial, algorithm=algorithm)
-        self._tasks_analyzed = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def tasks_analyzed(self) -> int:
-        """Tasks analyzed so far (the base id of the next stream)."""
-        return self._tasks_analyzed
-
-    def analyze(self, stream: TaskStream) -> list[ShardReport]:
-        """Run the stream's analysis on every replica; returns one report
-        per replica, ordered by shard id (shard 0 first)."""
-        base = self._tasks_analyzed
-        count = len(stream)
-        reports = self._analyze_replicas(stream, base, count)
-        self._tasks_analyzed += count
-        return reports
-
-    def _analyze_reference(self, stream: TaskStream, base: int,
-                           count: int) -> ShardReport:
-        start = time.perf_counter()
-        # The reference replica is always shard 0 on the driver: pin its
-        # span attribution so even serial runs carry shard-tagged events.
-        with obs.active_tracer().scope(tid=0), \
-                obs.span("analyze.shard0", "distributed.replica",
-                         shard=0, tasks=count):
-            for task in stream:
-                self.reference.launch(task.name, task.requirements, None,
-                                      task.point)
-        seconds = time.perf_counter() - start
-        return ShardReport(0, analysis_fingerprint(self.reference, base,
-                                                   count), seconds)
-
-    @abstractmethod
-    def _analyze_replicas(self, stream: TaskStream, base: int,
-                          count: int) -> list[ShardReport]:
-        """Run the analysis everywhere and report per-shard results."""
-
-    @abstractmethod
-    def dump_dependences(self, shard: int, base: int,
-                         count: int) -> list[tuple[int, ...]]:
-        """One shard's sorted dependence lists for a task-id window
-        (divergence diagnostics; the happy path never calls this)."""
-
-    def close(self) -> None:
-        """Release any workers; idempotent."""
-
-    def after_verified(self) -> None:
-        """Hook: the caller finished the deterministic-merge verification
-        of the last analyzed stream.  The process backend uses this to
-        take fingerprint-verified recovery checkpoints; in-process
-        backends need nothing."""
-
-    #: Supervision counters (:class:`RecoveryReport`); ``None`` for
-    #: backends that have no workers to supervise.
-    recovery: Optional[RecoveryReport] = None
-
-    @property
-    def shipped_bytes(self) -> int:
-        """Total pickled payload shipped to remote replicas so far."""
-        return 0
-
-    def __enter__(self) -> "AnalysisBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class _InProcessBackend(AnalysisBackend):
-    """Shared machinery for backends whose replicas are local Runtimes."""
-
-    def __init__(self, tree, initial, algorithm, replicas) -> None:
-        super().__init__(tree, initial, algorithm, replicas)
-        self._others = [Runtime(tree, initial, algorithm=algorithm)
-                        for _ in range(replicas - 1)]
-
-    def _runtime_of(self, shard: int) -> Runtime:
-        return self.reference if shard == 0 else self._others[shard - 1]
-
-    def _analyze_one(self, shard: int, stream: TaskStream, base: int,
-                     count: int) -> ShardReport:
-        if shard == 0:
-            return self._analyze_reference(stream, base, count)
-        runtime = self._others[shard - 1]
-        start = time.perf_counter()
-        with obs.active_tracer().scope(pid=shard + 1, tid=shard), \
-                prov.active_ledger().scope(shard=shard), \
-                obs.span(f"analyze.shard{shard}", "distributed.replica",
-                         shard=shard, tasks=count):
-            for task in stream:
-                runtime.launch(task.name, task.requirements, None,
-                               task.point)
-        seconds = time.perf_counter() - start
-        return ShardReport(shard, analysis_fingerprint(runtime, base, count),
-                           seconds)
-
-    def dump_dependences(self, shard, base, count):
-        graph = self._runtime_of(shard).graph
-        return [tuple(sorted(graph.dependences_of(t)))
-                for t in range(base, base + count)]
-
-
-class SerialBackend(_InProcessBackend):
-    """The reference backend: replicas analyzed one after another."""
-
-    name = "serial"
-
-    def _analyze_replicas(self, stream, base, count):
-        return [self._analyze_one(shard, stream, base, count)
-                for shard in range(self.replicas)]
-
-
-class ThreadBackend(_InProcessBackend):
-    """Replica analyses on a thread pool.
-
-    Replicas share no mutable state (each owns its coherence-algorithm
-    instances, meter and graph; the region tree is only read during
-    analysis), so the analyses are safe to interleave.
-    """
-
-    name = "thread"
-
-    def __init__(self, tree, initial, algorithm, replicas,
-                 max_workers: Optional[int] = None) -> None:
-        super().__init__(tree, initial, algorithm, replicas)
-        workers = max(1, min(replicas, max_workers or replicas))
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="shard-analysis")
-
-    def _analyze_replicas(self, stream, base, count):
-        futures = [self._pool.submit(self._analyze_one, shard, stream,
-                                     base, count)
-                   for shard in range(self.replicas)]
-        return [f.result() for f in futures]
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-# ----------------------------------------------------------------------
-# process backend: persistent workers + pickled task-stream shipping,
-# supervised for fault tolerance
+# replica hosting: in-process or in supervised worker processes
 # ----------------------------------------------------------------------
 class _Hosting:
     """One self-contained group of replica runtimes (worker- or
@@ -364,14 +201,14 @@ def _checkpoint_hostings(hostings: Sequence[_Hosting]) -> tuple:
 
 def _dispatch(msg: tuple, hostings: list[_Hosting]) -> tuple:
     """Handle one protocol message against a hosting set.  Shared by the
-    worker loop and the in-process fallback so degraded shards speak the
+    worker loop and the in-process handles so every host speaks the
     exact same protocol."""
     try:
         if msg[0] == "analyze":
             # msg[3]/msg[4], when present, are the tracing and provenance
             # flags — consumed by the worker loop, irrelevant here
-            # (parent-side fallback hostings record straight into the
-            # parent's active tracer and ledger).
+            # (in-process hostings record straight into the parent's
+            # active tracer and ledger).
             structure, tasks = msg[1], msg[2]
             results = []
             for hosting in hostings:
@@ -497,8 +334,9 @@ class _WorkerHandle:
 
 
 class _LocalHandle:
-    """In-process fallback host for the replicas of a lost worker.
-    Speaks the worker protocol synchronously and cannot fault."""
+    """In-process host: the serial backend's one handle, and the process
+    backend's fallback for the replicas of a lost worker.  Speaks the
+    worker protocol synchronously and cannot fault."""
 
     remote = False
 
@@ -506,20 +344,29 @@ class _LocalHandle:
         self.hostings = hostings
         self.shards = list(shards)
 
-    def request(self, msg: tuple) -> tuple:
-        return _dispatch(msg, self.hostings)
+    def request(self, msg: tuple):
+        status, result = _dispatch(msg, self.hostings)
+        if status != "ok":
+            raise MachineError(f"analysis host failed: {result}")
+        return result
 
 
-class ProcessBackend(AnalysisBackend):
-    """Replicas 1..N-1 hosted in persistent, *supervised* worker
-    processes.
+class AnalysisBackend:
+    """Runs the N replicated analyses of each executed stream.
 
-    Workers receive a pickled genesis snapshot (region tree + initial
-    values) at spawn and per-``execute`` payloads containing the
-    structural delta plus the encoded task stream; they return
-    fingerprints and per-shard analysis seconds.  ``max_workers`` caps
-    the process count — with fewer workers than remote replicas, workers
-    host several replicas each and analyze them sequentially.
+    Replica 0 — the *reference* — always lives in the calling process so
+    that :attr:`ShardedRuntime.graph` and the analysis meter stay directly
+    observable.  ``name`` (one of :data:`BACKENDS`) decides where replicas
+    1..N-1 run: ``"serial"`` hosts them all in-process on one
+    :class:`_LocalHandle`; ``"process"`` hosts them in persistent,
+    *supervised* worker processes.
+
+    Both start from a pickled genesis snapshot (region tree + initial
+    values); every stream ships as the structural delta plus the encoded
+    task stream, and hosts return fingerprints and per-shard analysis
+    seconds.  ``max_workers`` caps the process count — with fewer workers
+    than remote replicas, workers host several replicas each and analyze
+    them sequentially.
 
     Fault tolerance: every receive is bounded by ``recv_timeout`` with
     liveness probes every ``heartbeat`` seconds; a crash (EOF / dead
@@ -531,20 +378,21 @@ class ProcessBackend(AnalysisBackend):
     :meth:`after_verified`), and the journal is trimmed behind them.
     When a worker exhausts its retries it is declared lost and its
     replicas are *reassigned*: adopted by the least-loaded surviving
-    worker, or — when none exists — hosted in-process (graceful
-    degradation to serial-backend semantics).  All activity is counted
-    in :attr:`recovery` (:class:`RecoveryReport`).
+    worker, or — when none exists — hosted in-process on a
+    :class:`_LocalHandle`, exactly as the serial backend hosts them.  All
+    activity is counted in :attr:`recovery` (:class:`RecoveryReport`).
 
     ``faults`` injects deterministic failures for chaos testing
-    (:class:`FaultPlan`; the default never fires); ``clock`` makes the
-    backoff sleeps testable without real waiting.
+    (:class:`FaultPlan`; the default never fires, and an active plan is
+    rejected on ``"serial"``); ``clock`` makes the backoff sleeps
+    testable without real waiting.
     """
 
-    name = "process"
-
-    def __init__(self, tree, initial, algorithm, replicas,
+    def __init__(self, tree: RegionTree,
+                 initial: Mapping[str, np.ndarray],
+                 algorithm: str, replicas: int,
+                 name: str = "process",
                  max_workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  faults: Optional[FaultPlan] = None,
                  recv_timeout: Optional[float] = 60.0,
                  heartbeat: float = 0.05,
@@ -553,13 +401,22 @@ class ProcessBackend(AnalysisBackend):
                  clock=None) -> None:
         self._closed = False
         self._handles: list = []
-        super().__init__(tree, initial, algorithm, replicas)
-        import multiprocessing as mp
-
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
+        if name not in BACKENDS:
+            raise MachineError(
+                f"unknown analysis backend {name!r}; known: {BACKENDS}")
+        if replicas < 1:
+            raise MachineError("need at least one analysis replica")
         self._faults = faults if faults is not None else NO_FAULTS
+        if name == "serial" and self._faults.active:
+            raise MachineError(
+                "fault injection requires the process backend, not "
+                "'serial'")
+        self.name = name
+        self.tree = tree
+        self.algorithm = algorithm
+        self.replicas = replicas
+        self.reference = Runtime(tree, initial, algorithm=algorithm)
+        self._tasks_analyzed = 0
         self._recv_timeout = recv_timeout
         self._heartbeat = heartbeat
         self._retry = retry if retry is not None else RetryPolicy()
@@ -577,14 +434,22 @@ class ProcessBackend(AnalysisBackend):
         remote = list(range(1, replicas))
         if not remote:
             return
-        self._ctx = mp.get_context(start_method)
-        workers = max(1, min(len(remote), max_workers or len(remote)))
-        initial = {name: np.asarray(values).copy()
-                   for name, values in initial.items()}
-        #: Spawn-time snapshot; respawns-from-scratch and genesis
-        #: adoptions reuse these exact bytes so every incarnation
-        #: observes the identical starting state.
+        initial = {field: np.asarray(values).copy()
+                   for field, values in initial.items()}
+        #: Spawn-time snapshot; every host built from scratch (spawn,
+        #: respawn, genesis adoption, in-process hosting) starts from
+        #: these exact bytes, so all observe the identical starting state.
         self._genesis = pickle.dumps((tree, initial, algorithm))
+        if name == "serial":
+            self._handles.append(self._genesis_local(remote))
+            return
+        import multiprocessing as mp
+
+        try:
+            self._ctx = mp.get_context("fork")
+        except ValueError:  # platforms without fork
+            self._ctx = mp.get_context("spawn")
+        workers = max(1, min(len(remote), max_workers or len(remote)))
         groups = [remote[k::workers] for k in range(workers)]
         for worker_id, shards in enumerate(groups):
             handle = _WorkerHandle(worker_id, shards)
@@ -592,8 +457,13 @@ class ProcessBackend(AnalysisBackend):
             self._handles.append(handle)
 
     # ------------------------------------------------------------------
-    # worker lifecycle
+    # host lifecycle
     # ------------------------------------------------------------------
+    @property
+    def tasks_analyzed(self) -> int:
+        """Tasks analyzed so far (the base id of the next stream)."""
+        return self._tasks_analyzed
+
     @property
     def handles(self) -> tuple:
         """The live worker/local handles (tests and introspection)."""
@@ -605,8 +475,13 @@ class ProcessBackend(AnalysisBackend):
 
     @property
     def degraded(self) -> bool:
-        """Whether any replicas fell back to in-process hosting."""
-        return any(not h.remote for h in self._handles)
+        """Whether a worker loss moved replicas in-process."""
+        return self.recovery.local_fallbacks > 0
+
+    def _genesis_local(self, shards) -> _LocalHandle:
+        tree, initial, algorithm = pickle.loads(self._genesis)
+        return _LocalHandle([_Hosting.fresh(tree, initial, algorithm,
+                                            shards)], shards)
 
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.incarnation += 1
@@ -724,10 +599,7 @@ class ProcessBackend(AnalysisBackend):
         synchronously; remote faults trigger the recovery path with the
         request re-issued afterwards."""
         if not handle.remote:
-            status, result = handle.request(message)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {result}")
-            return result
+            return handle.request(message)
         try:
             return self._roundtrip(handle, message)
         except WorkerFault as exc:
@@ -815,31 +687,22 @@ class ProcessBackend(AnalysisBackend):
         entries = self._journal_suffix(handle)
         last = None
         for entry, count in entries:
-            status, last = local.request(entry)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {last}")
+            last = local.request(entry)
             self.recovery.replayed_streams += 1
             self.recovery.replayed_tasks += count * len(handle.shards)
-        result = None
-        if followup is not None:
-            status, result = local.request(followup)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {result}")
+        result = local.request(followup) if followup is not None else None
         return (last, result)
 
     def _make_local(self, handle: _WorkerHandle) -> _LocalHandle:
-        if handle.checkpoint is not None:
-            hostings = _restore_hostings(handle.checkpoint[1])
-            digests = [d for h in hostings for d in h.digests()]
-            if sorted(digests) != sorted(handle.checkpoint[2]):
-                raise MachineError(
-                    f"checkpoint for worker {handle.worker_id} failed its "
-                    f"digest check; cannot fall back")
-            self.recovery.restores += 1
-        else:
-            tree, initial, algorithm = pickle.loads(self._genesis)
-            hostings = [_Hosting.fresh(tree, initial, algorithm,
-                                       handle.shards)]
+        if handle.checkpoint is None:
+            return self._genesis_local(handle.shards)
+        hostings = _restore_hostings(handle.checkpoint[1])
+        digests = [d for h in hostings for d in h.digests()]
+        if sorted(digests) != sorted(handle.checkpoint[2]):
+            raise MachineError(
+                f"checkpoint for worker {handle.worker_id} failed its "
+                f"digest check; cannot fall back")
+        self.recovery.restores += 1
         return _LocalHandle(hostings, handle.shards)
 
     def _adopt(self, target: _WorkerHandle, lost: _WorkerHandle,
@@ -879,9 +742,9 @@ class ProcessBackend(AnalysisBackend):
         ``checkpoint_interval`` streams and trim the journal behind
         them (so recovery replays from the checkpoint, not task 0)."""
         if not self.remote_handles:
-            if self._journal and not self.degraded:
-                self._journal_base += len(self._journal)
-                self._journal.clear()
+            # nothing left that could fault: no replay will ever run
+            self._journal_base += len(self._journal)
+            self._journal.clear()
             return
         self._streams_since_checkpoint += 1
         if self._streams_since_checkpoint < self._checkpoint_interval:
@@ -946,7 +809,26 @@ class ProcessBackend(AnalysisBackend):
                 shard, fingerprint, seconds,
                 spans=tuple(spans_by_shard.get(shard, ()))))
 
-    def _analyze_replicas(self, stream, base, count):
+    def _analyze_reference(self, stream: TaskStream, base: int,
+                           count: int) -> ShardReport:
+        start = time.perf_counter()
+        # The reference replica is always shard 0 on the driver: pin its
+        # span attribution so even serial runs carry shard-tagged events.
+        with obs.active_tracer().scope(tid=0), \
+                obs.span("analyze.shard0", "distributed.replica",
+                         shard=0, tasks=count):
+            for task in stream:
+                self.reference.launch(task.name, task.requirements, None,
+                                      task.point)
+        seconds = time.perf_counter() - start
+        return ShardReport(0, analysis_fingerprint(self.reference, base,
+                                                   count), seconds)
+
+    def analyze(self, stream: TaskStream) -> list[ShardReport]:
+        """Run the stream's analysis on every replica; returns one report
+        per replica, ordered by shard id (shard 0 first)."""
+        base = self._tasks_analyzed
+        count = len(stream)
         structure = encode_structure(self.tree, self._known_regions)
         self._known_regions = len(self.tree.regions)
         # The trace flag also rides for an armed flight recorder: workers
@@ -994,14 +876,12 @@ class ProcessBackend(AnalysisBackend):
         for handle in faulted:
             last, _ = self._recover(handle)
             self._append_reports(reports, last)
-        # phase 5: in-process fallback hosts (excluding ones recovery
-        # just created — their replay already covered this entry)
+        # phase 5: in-process hosts (excluding fallbacks recovery just
+        # created — their replay already covered this entry)
         for handle in locals_before:
-            status, results = handle.request(entry)
-            if status != "ok":
-                raise MachineError(f"analysis host failed: {results}")
-            self._append_reports(reports, results)
+            self._append_reports(reports, handle.request(entry))
         reports.sort(key=lambda r: r.shard)
+        self._tasks_analyzed += count
         return reports
 
     def dump_dependences(self, shard, base, count):
@@ -1016,12 +896,10 @@ class ProcessBackend(AnalysisBackend):
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         self._closed = True
-        for handle in getattr(self, "_handles", []):
-            if not getattr(handle, "remote", False):
-                continue
+        for handle in self.remote_handles:
             proc, conn = handle.proc, handle.conn
             if conn is not None:
                 try:
@@ -1042,6 +920,12 @@ class ProcessBackend(AnalysisBackend):
                     pass
         self._handles = []
 
+    def __enter__(self) -> "AnalysisBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def __del__(self) -> None:  # pragma: no cover - GC timing dependent
         # Interpreter shutdown may have torn down imports in arbitrary
         # order: swallow everything, close() guards each step.
@@ -1051,38 +935,21 @@ class ProcessBackend(AnalysisBackend):
             pass
 
 
+#: The historical name of :class:`AnalysisBackend` (``perfbench/probes.py``
+#: patches the class through it).
+ProcessBackend = AnalysisBackend
+
+
 # ----------------------------------------------------------------------
 def make_backend(spec: str | AnalysisBackend, tree: RegionTree,
                  initial: Mapping[str, np.ndarray], algorithm: str,
-                 replicas: int,
-                 max_workers: Optional[int] = None,
-                 faults: Optional[FaultPlan] = None,
-                 recv_timeout: Optional[float] = 60.0,
-                 heartbeat: float = 0.05,
-                 retry: Optional[RetryPolicy] = None,
-                 checkpoint_interval: int = 4,
-                 clock=None) -> AnalysisBackend:
-    """Build an analysis backend from a registry name (or pass through an
-    already-constructed instance).  The fault-tolerance knobs (``faults``,
-    ``recv_timeout``, ``heartbeat``, ``retry``, ``checkpoint_interval``,
-    ``clock``) apply to the process backend only — an *active* fault plan
-    on an in-process backend is a configuration error."""
+                 replicas: int, **options) -> AnalysisBackend:
+    """Build an analysis backend from a registry name in :data:`BACKENDS`
+    (or pass through an already-constructed instance).  ``options`` are
+    the :class:`AnalysisBackend` keywords; the fault-tolerance knobs
+    apply to the process backend only — an *active* fault plan on
+    ``"serial"`` is a configuration error."""
     if isinstance(spec, AnalysisBackend):
         return spec
-    if spec == "process":
-        return ProcessBackend(tree, initial, algorithm, replicas,
-                              max_workers=max_workers, faults=faults,
-                              recv_timeout=recv_timeout,
-                              heartbeat=heartbeat, retry=retry,
-                              checkpoint_interval=checkpoint_interval,
-                              clock=clock)
-    if faults is not None and faults.active:
-        raise MachineError(
-            f"fault injection requires the process backend, not {spec!r}")
-    if spec == "serial":
-        return SerialBackend(tree, initial, algorithm, replicas)
-    if spec == "thread":
-        return ThreadBackend(tree, initial, algorithm, replicas,
-                             max_workers=max_workers)
-    raise MachineError(
-        f"unknown analysis backend {spec!r}; known: {BACKENDS}")
+    return AnalysisBackend(tree, initial, algorithm, replicas, name=spec,
+                           **options)

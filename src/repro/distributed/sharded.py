@@ -4,12 +4,12 @@ The control-replication contract: ``shards`` replicas each observe the
 *entire* task stream and run the full dynamic analysis; a sharding
 functor assigns each task to the one shard that executes it.  Because
 every replica must independently reach the same dependence conclusions,
-:class:`ShardedRuntime` runs the analysis once per shard — serially, on a
-thread pool, or on worker processes (see
-:mod:`repro.distributed.backends`) — and performs a deterministic-merge
-verification: each shard's dependence graph and equivalence-set
-refinement trace are hashed, the digests compared, and any divergence
-fails fast with a structured per-task diff
+:class:`ShardedRuntime` runs the analysis once per shard — replica 0 on
+the driver, replicas 1..N-1 hosted in-process or on supervised worker
+processes (see :mod:`repro.distributed.backends`) — and performs a
+deterministic-merge verification: each shard's dependence graph and
+equivalence-set refinement trace are hashed, the digests compared, and
+any divergence fails fast with a structured per-task diff
 (:mod:`repro.distributed.verify`).  That is the determinism obligation
 DCR places on the analyses this repository reproduces, converted into an
 enforced, observable property (and a strong regression test: any hidden
@@ -40,12 +40,12 @@ import numpy as np
 from repro.distributed.backends import AnalysisBackend, make_backend
 from repro.distributed.faults import FaultPlan, RecoveryReport, RetryPolicy
 from repro.distributed.verify import ShardReport, check_reports
-from repro.errors import MachineError, TaskError
+from repro.errors import MachineError
 from repro.machine.dcr import ShardingFunctor, dcr_sharding
 from repro.obs import provenance as prov
 from repro.obs import tracer as obs
 from repro.regions.tree import RegionTree
-from repro.runtime.task import Task, TaskStream
+from repro.runtime.task import Task, TaskStream, initial_values
 from repro.visibility.meter import PhaseProfile
 
 
@@ -95,22 +95,22 @@ class ShardedRuntime:
         where N full analysis replicas would only burn time re-proving
         determinism.
     backend:
-        Analysis execution backend: ``"serial"`` (default), ``"thread"``,
-        ``"process"``, or a prebuilt
+        Where replicas 1..N-1 run: ``"serial"`` (default; in-process) or
+        ``"process"`` (supervised worker processes), or a prebuilt
         :class:`~repro.distributed.backends.AnalysisBackend`.
     max_workers:
-        Concurrency cap for the thread/process backends (defaults to one
+        Worker-process cap for the process backend (defaults to one
         worker per remote replica).
     profile:
         Optional shared :class:`PhaseProfile`; created when omitted.
         Records ``analyze`` (total), ``analyze.shard<i>`` (per shard),
-        ``verify``, ``execute`` times and ``ship`` bytes; supervised
-        backends additionally credit ``recover`` (wall-clock, one call
+        ``verify``, ``execute`` times and ``ship`` bytes; the process
+        backend additionally credits ``recover`` (wall-clock, one call
         per recovery episode) and ``recover.<counter>`` occurrence
         counts from the :class:`RecoveryReport` delta of each stream.
     faults, recv_timeout, heartbeat, retry, checkpoint_interval, clock:
         Fault-tolerance knobs forwarded to the process backend (see
-        :class:`~repro.distributed.backends.ProcessBackend`): a
+        :class:`~repro.distributed.backends.AnalysisBackend`): a
         deterministic :class:`FaultPlan` for chaos testing, the bounded
         per-request receive timeout and liveness-probe period, the
         recovery :class:`RetryPolicy`, how many verified streams elapse
@@ -142,23 +142,18 @@ class ShardedRuntime:
             else dcr_sharding(shards)
         self.verify_replicas = verify_replicas and replicate_analysis
         self.profile = profile if profile is not None else PhaseProfile()
-        root_size = tree.root.space.size
         # Validate the initial values *before* building the backend: a
         # process backend spawns worker children as a side effect, and a
         # constructor that raises after spawning leaks orphans (there is
         # no runtime object for the caller to close).
+        initial = initial_values(tree, initial)
+        root_size = tree.root.space.size
         # shard-local memory: values[s] is shard s's copy of each field
-        self._values: dict[str, np.ndarray] = {}
+        self._values = {name: np.tile(base, (shards, 1))
+                        for name, base in initial.items()}
         # owner[k] = shard that last produced element k of the field
-        self._owners: dict[str, np.ndarray] = {}
-        for name in tree.field_space.names:
-            base = np.asarray(initial[name])
-            if base.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape {base.shape}, "
-                    f"expected ({root_size},)")
-            self._values[name] = np.tile(base.copy(), (shards, 1))
-            self._owners[name] = np.zeros(root_size, dtype=np.int64)
+        self._owners = {name: np.zeros(root_size, dtype=np.int64)
+                        for name in initial}
         replicas = shards if replicate_analysis else 1
         self._backend = make_backend(backend, tree, initial, algorithm,
                                      replicas, max_workers=max_workers,
@@ -187,9 +182,9 @@ class ShardedRuntime:
         return self._backend.reference.meter
 
     @property
-    def recovery(self) -> Optional[RecoveryReport]:
-        """Cumulative supervision counters (``None`` for in-process
-        backends, which have no workers to supervise)."""
+    def recovery(self) -> RecoveryReport:
+        """Cumulative supervision counters (all zero on the serial
+        backend, which has no workers to supervise)."""
         return self._backend.recovery
 
     def publish_telemetry(self, registry, **labels) -> None:
@@ -199,18 +194,16 @@ class ShardedRuntime:
 
         Covers the per-phase profile (including ``recover.*`` phases),
         the supervision :class:`RecoveryReport` (faults, respawns,
-        checkpoint restores — ``None`` for in-process backends).
+        checkpoint restores).
         Everything published is a cumulative total through idempotent
         ``publish_to`` bridges, so re-sampling every tick is safe; the
         hub turns the totals into windowed deltas.
         """
         self.profile.publish_to(registry, **labels)
-        recovery = self.recovery
-        if recovery is not None:
-            recovery.publish_to(registry, **labels)
+        self.recovery.publish_to(registry, **labels)
 
     def close(self) -> None:
-        """Release backend workers (no-op for in-process backends)."""
+        """Release backend workers (no-op on the serial backend)."""
         self._backend.close()
 
     def __enter__(self) -> "ShardedRuntime":
@@ -233,8 +226,7 @@ class ShardedRuntime:
         """
         base = self._backend.tasks_analyzed
         shipped_before = self._backend.shipped_bytes
-        recovery_before = (self._backend.recovery.copy()
-                           if self._backend.recovery is not None else None)
+        recovery_before = self._backend.recovery.copy()
         with self.profile.phase("analyze"):
             reports = self._backend.analyze(stream)
         for report in reports:
@@ -253,13 +245,12 @@ class ShardedRuntime:
         # backends checkpoint, then credit recovery activity to the
         # profile as "recover" phases
         self._backend.after_verified()
-        if recovery_before is not None:
-            delta = self._backend.recovery.delta(recovery_before)
-            if delta.recoveries or delta.recovery_seconds:
-                self.profile.add_time("recover", delta.recovery_seconds,
-                                      calls=delta.recoveries)
-            for counter, n in delta.counters().items():
-                self.profile.add_count(f"recover.{counter}", n)
+        delta = self._backend.recovery.delta(recovery_before)
+        if delta.recoveries or delta.recovery_seconds:
+            self.profile.add_time("recover", delta.recovery_seconds,
+                                  calls=delta.recoveries)
+        for counter, n in delta.counters().items():
+            self.profile.add_count(f"recover.{counter}", n)
         obs.counter("tasks_analyzed", self._backend.tasks_analyzed)
         obs.counter("shipped_bytes", self._backend.shipped_bytes)
         led = prov.active_ledger()
@@ -356,5 +347,5 @@ class ShardedRuntime:
 
     def __repr__(self) -> str:
         return (f"ShardedRuntime(shards={self.shards}, "
-                f"backend={type(self._backend).name!r}, "
+                f"backend={self._backend.name!r}, "
                 f"executed={self._executed}, messages={self.log.messages})")

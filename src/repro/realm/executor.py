@@ -25,7 +25,7 @@ from repro.realm.events import Event
 from repro.realm.runtime import RealmRuntime
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.task import Task
+from repro.runtime.task import Task, initial_values
 
 
 class RealmExecutor:
@@ -37,17 +37,8 @@ class RealmExecutor:
         self.tree = tree
         self._owns_runtime = runtime is None
         self.runtime = runtime if runtime is not None else RealmRuntime(4)
-        self._fields: dict[str, np.ndarray] = {}
-        root_size = tree.root.space.size
-        for name in tree.field_space.names:
-            if name not in initial:
-                raise TaskError(f"missing initial values for field {name!r}")
-            values = np.asarray(initial[name])
-            if values.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape "
-                    f"{values.shape}, expected ({root_size},)")
-            self._fields[name] = values.copy()
+        self._fields = {name: values.copy() for name, values
+                        in initial_values(tree, initial).items()}
         self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.regions.partition import Partition
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
 from repro.runtime.task import (RegionRequirement, Task, TaskBody,
-                                validate_requirements)
+                                initial_values, validate_requirements)
 from repro.visibility.base import CoherenceAlgorithm, make_algorithm
 from repro.visibility.meter import CostMeter, TaskCost
 
@@ -62,15 +62,7 @@ class Runtime:
         self.algorithm_name = algorithm
         self.meter = meter if meter is not None else CostMeter()
         self._algorithms: dict[str, CoherenceAlgorithm] = {}
-        root_size = tree.root.space.size
-        for name in tree.field_space.names:
-            if name not in initial:
-                raise TaskError(f"missing initial values for field {name!r}")
-            values = np.asarray(initial[name])
-            if values.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape {values.shape}, "
-                    f"expected ({root_size},)")
+        for name, values in initial_values(tree, initial).items():
             self._algorithms[name] = make_algorithm(
                 algorithm, tree, name, values, self.meter)
         # Order labels are assigned as launch/_launch_traced record each

@@ -14,10 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import TaskError
 from repro.obs import tracer as obs
 from repro.regions.tree import RegionTree
-from repro.runtime.task import Task, TaskStream
+from repro.runtime.task import Task, TaskStream, initial_values
 
 
 class SequentialExecutor:
@@ -26,17 +25,8 @@ class SequentialExecutor:
     def __init__(self, tree: RegionTree,
                  initial: Mapping[str, np.ndarray]) -> None:
         self.tree = tree
-        self._fields: dict[str, np.ndarray] = {}
-        root_size = tree.root.space.size
-        for name in tree.field_space.names:
-            if name not in initial:
-                raise TaskError(f"missing initial values for field {name!r}")
-            values = np.asarray(initial[name])
-            if values.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape {values.shape}, "
-                    f"expected ({root_size},)")
-            self._fields[name] = values.copy()
+        self._fields = {name: values.copy() for name, values
+                        in initial_values(tree, initial).items()}
 
     # ------------------------------------------------------------------
     def run(self, task: Task) -> None:

@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import TaskError
 from repro.regions.tree import RegionTree
 from repro.runtime.dependence import DependenceGraph
-from repro.runtime.task import Task
+from repro.runtime.task import Task, initial_values
 from repro.visibility.meter import PhaseProfile
 
 
@@ -56,17 +56,8 @@ class ParallelExecutor:
             raise TaskError("max_workers must be positive")
         self.tree = tree
         self.max_workers = max_workers
-        self._fields: dict[str, np.ndarray] = {}
-        root_size = tree.root.space.size
-        for name in tree.field_space.names:
-            if name not in initial:
-                raise TaskError(f"missing initial values for field {name!r}")
-            values = np.asarray(initial[name])
-            if values.shape != (root_size,):
-                raise TaskError(
-                    f"initial values for {name!r} have shape "
-                    f"{values.shape}, expected ({root_size},)")
-            self._fields[name] = values.copy()
+        self._fields = {name: values.copy() for name, values
+                        in initial_values(tree, initial).items()}
         self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------------

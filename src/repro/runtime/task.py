@@ -11,7 +11,7 @@ coherence is out of scope (paper footnote 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -89,6 +89,24 @@ class Task:
     def __repr__(self) -> str:
         reqs = ", ".join(repr(r) for r in self.requirements)
         return f"Task(t{self.task_id} {self.name!r}: {reqs})"
+
+
+def initial_values(tree, initial: Mapping[str, np.ndarray]
+                   ) -> dict[str, np.ndarray]:
+    """Check ``initial`` holds one root-sized array per field of ``tree``;
+    returns them (uncopied) keyed by field name, in field order."""
+    root_size = tree.root.space.size
+    values: dict[str, np.ndarray] = {}
+    for name in tree.field_space.names:
+        if name not in initial:
+            raise TaskError(f"missing initial values for field {name!r}")
+        array = np.asarray(initial[name])
+        if array.shape != (root_size,):
+            raise TaskError(
+                f"initial values for {name!r} have shape {array.shape}, "
+                f"expected ({root_size},)")
+        values[name] = array
+    return values
 
 
 def validate_requirements(requirements: Sequence[RegionRequirement],

@@ -23,9 +23,10 @@ Robustness is structural, not incidental:
   session starts on verified-clean state.
 * **Graceful degradation** — a :class:`CircuitBreaker` guards the
   process backend: repeated infrastructure failures (worker loss,
-  timeouts) shed it, new slots fall back to serial in-process analysis
-  (``degraded=True`` results), and a half-open probe restores the
-  process backend automatically.
+  timeouts) shed it, new slots fall back to the serial backend — the
+  same in-process replica hosting a process slot falls back to after
+  losing a worker (``degraded=True`` results) — and a half-open probe
+  restores the process backend automatically.
 * **Tenant isolation** — each tenant owns its geometry cache
   (:func:`~repro.geometry.fastpath.tenant_geometry_cache`) and its
   provenance records are tenant-tagged
@@ -49,6 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.distributed.backends import BACKENDS
 from repro.distributed.faults import FaultPlan, SystemClock
 from repro.distributed.sharded import ShardedRuntime
 from repro.errors import MachineError
@@ -156,7 +158,7 @@ class AnalysisService:
                  exemplar_seed: Optional[int] = None,
                  exemplar_capacity: int = 4,
                  recorder=None) -> None:
-        if backend not in ("serial", "thread", "process"):
+        if backend not in BACKENDS:
             raise MachineError(f"unknown service backend {backend!r}")
         if max_inflight < 1 or queue_limit < 1:
             raise MachineError("max_inflight and queue_limit must be >= 1")

@@ -28,7 +28,7 @@ from tests.conftest import fig1_initial, fig1_stream, make_fig1_tree
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_reference_and_serial_fingerprints(self, backend):
-        """All three backends execute fig1 to the same values and produce
+        """Both backends execute fig1 to the same values and produce
         bit-identical per-shard analysis fingerprints."""
         tree, P, G = make_fig1_tree()
         stream = fig1_stream(tree, P, G, 2)
@@ -73,11 +73,10 @@ class TestBackendEquivalence:
 
     def test_in_process_backends_ship_nothing(self):
         tree, P, G = make_fig1_tree()
-        for backend in ("serial", "thread"):
-            with ShardedRuntime(tree, fig1_initial(tree), shards=2,
-                                backend=backend) as srt:
-                srt.execute(fig1_stream(tree, P, G, 1))
-                assert srt.profile.stat("ship").bytes == 0
+        with ShardedRuntime(tree, fig1_initial(tree), shards=2,
+                            backend="serial") as srt:
+            srt.execute(fig1_stream(tree, P, G, 1))
+            assert srt.profile.stat("ship").bytes == 0
 
 
 class TestProcessBackend:
@@ -229,6 +228,12 @@ class TestFactory:
         with pytest.raises(MachineError, match="unknown analysis backend"):
             ShardedRuntime(tree, fig1_initial(tree), shards=2,
                            backend="quantum")
+
+    def test_thread_backend_is_gone(self):
+        tree, _, _ = make_fig1_tree()
+        with pytest.raises(MachineError,
+                           match=r"known: \('serial', 'process'\)"):
+            make_backend("thread", tree, fig1_initial(tree), "raycast", 2)
 
     def test_instance_passthrough(self):
         tree, _, _ = make_fig1_tree()

@@ -45,7 +45,7 @@ def run_windows(windows=4, iterations=1, **kwargs):
             reports = srt.analyze(fig1_stream(tree, P, G, iterations))
             assert len({r.fingerprint for r in reports}) == 1
             fingerprints.append(reports[0].fingerprint)
-        recovery = srt.recovery.copy() if srt.recovery is not None else None
+        recovery = srt.recovery.copy()
     return fingerprints, recovery, srt.profile
 
 
@@ -276,21 +276,24 @@ class TestLifecycle:
         backend2.__del__()  # finalizer without explicit close: no raise
         assert backend2._closed
 
-    def test_serial_backend_has_no_recovery_report(self):
+    def test_serial_backend_reports_no_recovery_activity(self):
+        """Serial replicas sit on an in-process host by design: that is
+        not a degradation, and nothing is supervised or recovered."""
         tree, P, G = make_fig1_tree()
-        with ShardedRuntime(tree, fig1_initial(tree), shards=2,
+        with ShardedRuntime(tree, fig1_initial(tree), shards=3,
                             backend="serial") as srt:
             srt.analyze(fig1_stream(tree, P, G, 1))
-            assert srt.recovery is None
+            assert srt.backend.degraded is False
+            assert not srt.recovery.has_activity
+            assert [h.remote for h in srt.backend.handles] == [False]
 
     def test_active_faults_rejected_on_in_process_backends(self):
         tree, _, _ = make_fig1_tree()
         plan = FaultPlan(seed=1, rate=0.5)
-        for backend in ("serial", "thread"):
-            with pytest.raises(MachineError, match="process backend"):
-                make_backend(backend, tree, fig1_initial(tree), "raycast",
-                             2, faults=plan)
+        with pytest.raises(MachineError, match="process backend"):
+            make_backend("serial", tree, fig1_initial(tree), "raycast",
+                         2, faults=plan)
         # an inactive plan is fine anywhere
         backend = make_backend("serial", tree, fig1_initial(tree),
                                "raycast", 2, faults=FaultPlan())
-        assert backend.recovery is None
+        assert not backend.recovery.has_activity

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro import (ALGORITHMS, READ, READ_WRITE, IndexSpace, MachineError,
-                   RegionRequirement, RegionTree, TaskStream, reduce)
+                   RegionRequirement, RegionTree, TaskError, TaskStream,
+                   reduce)
 from repro.distributed import ShardedRuntime
 from repro.runtime.executor import SequentialExecutor
 
@@ -39,10 +40,11 @@ class TestReplicaDeterminism:
         srt.execute(fig1_stream(tree, P, G, 1))
         # tamper with replica 1's recorded dependences
         backend = srt.backend
-        backend._others[0].graph._deps[3] = frozenset()
+        replicas = [backend.reference,
+                    backend.handles[0].hostings[0].runtimes[1]]
+        replicas[1].graph._deps[3] = frozenset()
         reports = [
-            ShardReport(s, analysis_fingerprint(backend._runtime_of(s), 0, 6),
-                        0.0)
+            ShardReport(s, analysis_fingerprint(replicas[s], 0, 6), 0.0)
             for s in range(2)]
         with pytest.raises(MachineError, match="not deterministic") as info:
             check_reports(
@@ -56,6 +58,15 @@ class TestReplicaDeterminism:
 
 
 class TestShardedExecution:
+    def test_missing_initial_field_is_a_task_error(self):
+        """The same error as :class:`Runtime`, not a bare KeyError."""
+        tree, _, _ = make_fig1_tree()
+        initial = fig1_initial(tree)
+        del initial["up"]
+        with pytest.raises(TaskError,
+                           match="missing initial values for field 'up'"):
+            ShardedRuntime(tree, initial, shards=2)
+
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
     def test_matches_reference(self, shards):
         tree, P, G = make_fig1_tree()

@@ -50,9 +50,12 @@ class TestBackendAttribution:
                   if s.name != "analyze.shard0"}
         assert others == {(2, 1), (3, 2)}
 
-    def test_thread_backend_spans(self, driver_tracer):
-        reports, buffer = analyze_fig1(driver_tracer, backend="thread",
-                                       max_workers=2)
+    def test_shared_worker_replica_spans(self, driver_tracer):
+        """One worker hosting both remote replicas still attributes each
+        replica's span to its own shard."""
+        reports, buffer = analyze_fig1(driver_tracer, backend="process",
+                                       max_workers=1, recv_timeout=10.0,
+                                       retry=FAST_RETRY)
         replica = {s.name: (s.pid, s.tid) for s in buffer.spans
                    if s.category == "distributed.replica"}
         assert replica["analyze.shard1"] == (2, 1)

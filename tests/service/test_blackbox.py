@@ -163,7 +163,7 @@ class TestSeededDeterminism:
 # ----------------------------------------------------------------------
 # observer effect: recorder on/off must not change analysis results
 # ----------------------------------------------------------------------
-BACKENDS = [("serial", {}), ("thread", {"max_workers": 2}),
+BACKENDS = [("serial", {}),
             ("process", {"recv_timeout": 10.0, "retry": FAST_RETRY})]
 
 

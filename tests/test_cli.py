@@ -135,11 +135,13 @@ class TestAnalyze:
         assert "task" in out  # per-category table includes task spans
 
     def test_thread_backend_forced(self, capsys):
-        assert main(["analyze", "--app", "circuit", "--pieces", "2",
-                     "--iterations", "1", "--shards", "2",
-                     "--backend", "thread", "--algorithm", "warnock"]) == 0
-        out = capsys.readouterr().out
-        assert "thread backend" in out
+        """Forcing the deleted thread backend is a usage error."""
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "--app", "circuit", "--pieces", "2",
+                  "--iterations", "1", "--shards", "2",
+                  "--backend", "thread", "--algorithm", "warnock"])
+        assert info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
 
 
 class TestExplain:
