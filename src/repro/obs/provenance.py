@@ -191,8 +191,8 @@ class _ShardScope:
 
 class ProvenanceLedger:
     """Accumulates :class:`AccessRecord` objects; safe to share across
-    the thread backend's workers (thread-local open record, locked
-    append)."""
+    the analysis service's session executor threads (thread-local open
+    record, locked append)."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled

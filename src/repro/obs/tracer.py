@@ -27,7 +27,8 @@ Design constraints, in order:
    :class:`~repro.distributed.faults.FakeClock`, so trace tests assert on
    exact synthetic times instead of real elapsed time.
 3. **Thread-safe, picklable payloads.**  Finished spans append under a
-   lock (the thread backend interleaves replica analyses); the
+   lock (the analysis service's session executor threads record spans
+   concurrently); the
    :class:`Span` records themselves are plain dataclasses of primitives
    so worker processes can ship their buffers back inside a
    :class:`~repro.distributed.verify.ShardReport`.

@@ -33,7 +33,7 @@ from repro.geometry.kdtree import KDTree
 from repro.privileges import Privilege
 from repro.regions.partition import Partition
 from repro.regions.region import Region
-from repro.visibility.history import HistoryEntry, RegionValues, paint_entry
+from repro.visibility.history import HistoryEntry, RegionValues, paint_history
 from repro.visibility.meter import CostMeter
 
 _eqset_uid = itertools.count()
@@ -108,10 +108,9 @@ class EquivalenceSet:
         outside = EquivalenceSet(outside_space,
                                  [e.restricted(out_pos) for e in self.history])
         if meter is not None:
-            meter.count("eqsets_split")
-            meter.count("eqsets_created", 2)
-            meter.count("elements_moved",
-                        self.space.size * max(1, len(self.history)))
+            meter.flush(eqsets_split=1, eqsets_created=2,
+                        elements_moved=self.space.size
+                        * max(1, len(self.history)))
         return inside, outside
 
     def paint(self, dtype: np.dtype, meter: Optional[CostMeter] = None
@@ -122,18 +121,19 @@ class EquivalenceSet:
         the "trivial sub-scene" rendering of Warnock's divide and conquer.
         """
         current = np.zeros(self.space.size, dtype=dtype)
+        painted = 0
         for entry in self.history:
-            if meter is not None:
-                meter.count("entries_scanned")
             if entry.values is None:
                 continue
-            if meter is not None:
-                meter.count("elements_moved", self.space.size)
+            painted += 1
             if entry.privilege.is_write:
                 current = entry.values.astype(dtype, copy=True)
             else:
                 assert entry.privilege.redop is not None
                 current = entry.privilege.redop.fold(current, entry.values)
+        if meter is not None:
+            meter.flush(entries_scanned=len(self.history),
+                        elements_moved=painted * self.space.size)
         return current
 
     def record(self, privilege: Privilege, values: Optional[np.ndarray],
@@ -256,14 +256,16 @@ class RefinementTreeStore(EqSetStore):
             if (region_uid is not None and self._memoize) else None
         roots = starts if starts else [self._root]
         leaves: list[_RefNode] = []
+        visited = 0
         for node in roots:
-            self._descend(node, space, leaves)
+            visited += self._descend(node, space, leaves)
+        if self.meter is not None:
+            self.meter.flush(bvh_nodes_visited=visited,
+                             intersection_tests=len(leaves))
         out: list[EquivalenceSet] = []
         out_nodes: list[_RefNode] = []
         for leaf in leaves:
             assert leaf.eqset is not None
-            if self.meter is not None:
-                self.meter.count("intersection_tests")
             common = leaf.space & space
             if common.is_empty:
                 continue
@@ -281,19 +283,22 @@ class RefinementTreeStore(EqSetStore):
         return out
 
     def _descend(self, node: _RefNode, space: IndexSpace,
-                 leaves: list[_RefNode]) -> None:
+                 leaves: list[_RefNode]) -> int:
+        """Append the leaves under ``node`` whose bounds overlap
+        ``space``'s; returns how many tree nodes were visited."""
         lo, hi = space.bounds
         stack = [node]
+        visited = 0
         while stack:
             cur = stack.pop()
-            if self.meter is not None:
-                self.meter.count("bvh_nodes_visited")
+            visited += 1
             if cur.hi < lo or hi < cur.lo:
                 continue
             if cur.is_leaf:
                 leaves.append(cur)
             else:
                 stack.extend(cur.children)
+        return visited
 
     def all_sets(self) -> list[EquivalenceSet]:
         out: list[EquivalenceSet] = []
@@ -394,21 +399,19 @@ class LooseEquivalenceSet:
             if r is not None:
                 entries.append(r)
         if meter is not None:
-            meter.count("eqsets_split")
-            meter.count("elements_moved",
-                        remaining.size * max(1, len(entries)))
+            meter.flush(eqsets_split=1,
+                        elements_moved=remaining.size * max(1, len(entries)))
         return LooseEquivalenceSet(remaining, entries)
 
     def paint(self, space: IndexSpace, dtype,
               meter: Optional[CostMeter] = None) -> RegionValues:
         """Current values on ``space ∩ self.space`` via the blending
         kernel."""
-        common = self.space & space
-        current = RegionValues.filled(common, 0, dtype)
-        for entry in self.history:
-            if meter is not None:
-                meter.count("entries_scanned")
-            current = paint_entry(current, entry, meter)
+        current, moved = paint_history(
+            RegionValues.filled(self.space & space, 0, dtype), self.history)
+        if meter is not None:
+            meter.flush(entries_scanned=len(self.history),
+                        elements_moved=moved)
         return current
 
     def __repr__(self) -> str:
@@ -563,10 +566,10 @@ class BucketStore:
                     entries.append(r)
             self._index_insert(LooseEquivalenceSet(remainder_space, entries))
         if self.meter is not None:
-            self.meter.count("eqsets_split", len(carved))
-            self.meter.count("eqsets_created", len(carved))
-            self.meter.count("elements_moved",
-                             carved_union.size * max(1, len(eqset.history)))
+            self.meter.flush(eqsets_split=len(carved),
+                             eqsets_created=len(carved),
+                             elements_moved=carved_union.size
+                             * max(1, len(eqset.history)))
         return carved
 
     def overlapping(self, space: IndexSpace,
@@ -589,13 +592,13 @@ class BucketStore:
                 return list(memo)
         out: list[LooseEquivalenceSet] = []
         candidates = self._candidates(space)
-        # one batched pass answers every candidate's exact test up front;
-        # the loop keeps the per-candidate meter counts (and the localize-
-        # during-iteration semantics) exactly as the scalar path had them
+        # one batched pass answers every candidate's exact test up front
+        # (one metered test per candidate); the loop keeps the localize-
+        # during-iteration semantics exactly as the scalar path had them
         hits = batch_overlaps(space, [c.space for c in candidates])
+        if self.meter is not None:
+            self.meter.flush(intersection_tests=len(candidates))
         for eqset, hit in zip(candidates, hits):
-            if self.meter is not None:
-                self.meter.count("intersection_tests")
             if not hit:
                 continue
             if self._kd is None:
@@ -619,17 +622,17 @@ class BucketStore:
         the boundary are trimmed to their outside part (the only place ray
         casting still splits).
         """
+        coalesced = 0
         for eqset in overlapping:
             self._index_remove(eqset)
             remainder = eqset.minus(space, self.meter)
             if remainder is None:
-                if self.meter is not None:
-                    self.meter.count("eqsets_coalesced")
+                coalesced += 1
             else:
                 self._index_insert(remainder)
         fresh = LooseEquivalenceSet(space)
         if self.meter is not None:
-            self.meter.count("eqsets_created")
+            self.meter.flush(eqsets_coalesced=coalesced, eqsets_created=1)
         self._index_insert(fresh)
         if region_uid is not None:
             self._memo[region_uid] = [fresh]

@@ -11,7 +11,7 @@ operators of Figure 7 —
 — plus the pointwise-lifted reduction fold are implemented here once and
 shared by every algorithm.  The blending function ``b`` of section 3.1
 (writes opaque, reductions semi-transparent, reads transparent) appears as
-:func:`paint_entry`.
+:func:`paint_history`.
 """
 
 from __future__ import annotations
@@ -203,25 +203,29 @@ class HistoryEntry:
                 f"n={self.domain.size})")
 
 
-def paint_entry(current: RegionValues, entry: HistoryEntry,
-                meter: Optional[CostMeter] = None) -> RegionValues:
-    """Apply one history entry to a region being materialized.
+def paint_history(current: RegionValues, entries: Iterable[HistoryEntry]
+                  ) -> tuple[RegionValues, int]:
+    """Apply history entries, oldest first, to a region being materialized.
 
     This is the blending function ``b`` of section 3.1 applied in the
     oldest-to-newest traversal of Figure 7: a write overlays, a reduction
-    folds, a read does nothing.
+    folds, a read does nothing.  Returns the painted region and the number
+    of elements moved, the ``elements_moved`` tally callers flush to their
+    meter once per walk.
     """
-    if entry.privilege.is_read or entry.values is None:
-        return current
-    common_hint = current.domain.bbox_overlaps(entry.domain)
-    if not common_hint:
-        return current
-    if meter is not None:
-        meter.count("elements_moved", min(current.size, entry.domain.size))
-    if entry.privilege.is_write:
-        return current.write_onto(entry.values)
-    assert entry.privilege.redop is not None
-    return current.fold_in(entry.privilege.redop, entry.values)
+    domain = current.domain
+    size = current.size
+    moved = 0
+    for entry in entries:
+        if entry.values is None or not domain.bbox_overlaps(entry.domain):
+            continue  # reads are transparent (and carry no values)
+        moved += min(size, entry.domain.size)
+        if entry.privilege.is_write:
+            current = current.write_onto(entry.values)
+        else:
+            assert entry.privilege.redop is not None
+            current = current.fold_in(entry.privilege.redop, entry.values)
+    return current, moved
 
 
 def scan_dependences(privilege: Privilege, space: IndexSpace,
@@ -240,7 +244,8 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
     loop below then replays the original control flow — including the
     already-a-dependence skip, which consults ``deps`` as it grows — so
     the meter counts are bit-identical to the unbatched scan (analysis
-    fingerprints hash those counts).
+    fingerprints hash those counts).  The walk tallies into locals and
+    flushes them to ``meter`` once at the end.
     The provenance ledger (``repro.obs.provenance``) observes the same
     loop: one hoisted enabled-check, then edge/prune records that never
     touch the meter or alter control flow.
@@ -261,15 +266,13 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
         verdicts = batch_overlaps(space,
                                   [entries[i].domain for i in test_idx])
         overlap = dict(zip(test_idx, (bool(v) for v in verdicts)))
+    tests = 0
     for i, entry in enumerate(entries):
-        if meter is not None:
-            meter.count("entries_scanned")
         if entry.task_id in deps and not entry.collapsed_ids:
             continue
         if not interfering[i]:
             continue
-        if meter is not None:
-            meter.count("intersection_tests")
+        tests += 1
         hit = overlap[i] if i in overlap else space.overlaps(entry.domain)
         if hit:
             deps.add(entry.task_id)
@@ -284,4 +287,5 @@ def scan_dependences(privilege: Privilege, space: IndexSpace,
         elif led is not None:
             led.prune(entry.task_id, "disjoint",
                       prov.domain_desc(entry.domain))
-
+    if meter is not None:
+        meter.flush(entries_scanned=len(entries), intersection_tests=tests)

@@ -64,9 +64,19 @@ class CostMeter:
     lifetime of the meter; :meth:`begin_task`/:meth:`end_task` bracket one
     task launch so callers can extract per-task deltas.
 
-    Mutation is lock-protected: the thread backend runs replica analyses
-    concurrently, and ``Counter.__iadd__`` is not atomic.  The lock is
-    excluded from pickles (checkpoints pickle whole runtimes).
+    The analysis inner loops (history scans, painting, tree walks) tally
+    into locals and :meth:`flush` once per walk, so a read of
+    :attr:`counters` from inside a walk sees the totals from before that
+    walk.  Every reader that matters (task deltas, the provenance ledger's
+    ``visit`` brackets, fingerprints) reads between walks.
+
+    Mutation is lock-protected: the analysis service analyzes sessions on
+    executor threads and ``Counter.__iadd__`` is not atomic, so a meter
+    two threads reach must not lose updates.  (The telemetry sampler
+    reads phase profiles, not meters, and
+    :class:`~repro.runtime.parallel.ParallelExecutor`'s pool threads run
+    task bodies, which never meter.)  The lock is excluded from pickles
+    (checkpoints pickle whole runtimes).
     """
 
     __slots__ = ("counters", "touches", "_mark", "_task_touches", "_lock")
@@ -89,6 +99,18 @@ class CostMeter:
         """Record ``n`` occurrences of ``event``."""
         with self._lock:
             self.counters[event] += n
+
+    def flush(self, **events: int) -> None:
+        """Record one walk's local tallies under a single lock.
+
+        Zero tallies are skipped, so a walk that counted nothing adds no
+        key (fingerprints hash the set of keys as well as their values).
+        """
+        with self._lock:
+            counters = self.counters
+            for event, n in events.items():
+                if n:
+                    counters[event] += n
 
     def touch(self, key: Hashable) -> None:
         """Record that the current analysis touched distributed object
@@ -175,8 +197,9 @@ class PhaseProfile:
     The clock is injectable (default
     :class:`~repro.distributed.faults.SystemClock`): tests pass a
     :class:`~repro.distributed.faults.FakeClock` and assert exact phase
-    times.  Mutation is lock-protected — the thread backend merges worker
-    profiles and credits shard phases concurrently.  Each timed phase also
+    times.  Mutation is lock-protected — service session executor threads
+    credit phases while the telemetry sampler publishes them.  Each timed
+    phase also
     emits a span on the active :mod:`repro.obs` tracer, so the profile
     table and the Perfetto timeline agree by construction.
     """

@@ -23,7 +23,7 @@ from repro.regions.tree import RegionTree
 from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
                                    INITIAL_TASK_ID)
 from repro.visibility.history import (HistoryEntry, RegionValues,
-                                      paint_entry, scan_dependences)
+                                      paint_history, scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 from repro.obs.tracer import traced
@@ -77,10 +77,10 @@ class PainterAlgorithm(CoherenceAlgorithm):
 
     def _paint(self, space) -> RegionValues:
         """Replay the history oldest-to-newest onto ``space``."""
-        current = RegionValues.filled(space, 0, self.dtype)
-        for entry in self._history:
-            self.meter.count("entries_scanned")
-            current = paint_entry(current, entry, self.meter)
+        current, moved = paint_history(
+            RegionValues.filled(space, 0, self.dtype), self._history)
+        self.meter.flush(entries_scanned=len(self._history),
+                         elements_moved=moved)
         return current
 
     def materialize_values(self, privilege: Privilege,

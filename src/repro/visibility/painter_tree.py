@@ -24,7 +24,7 @@ item's whole domain deletes it.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -35,8 +35,8 @@ from repro.regions.region import Region
 from repro.regions.tree import RegionTree
 from repro.visibility.base import (AnalysisOutcome, CoherenceAlgorithm,
                                    INITIAL_TASK_ID)
-from repro.visibility.history import (HistoryEntry, RegionValues, paint_entry,
-                                      scan_dependences)
+from repro.visibility.history import (HistoryEntry, RegionValues,
+                                      paint_history, scan_dependences)
 from repro.visibility.meter import CostMeter
 from repro.obs import provenance as prov
 from repro.obs.tracer import traced
@@ -194,7 +194,6 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
             nonlocal domain, write_domain, entries_total
             st = self._states.get(node.uid)
             if st is not None and st.entries:
-                self.meter.count("view_nodes_captured")
                 captured.append((node.uid, st.entries))
                 for item in st.entries:
                     entries_total += 1
@@ -233,7 +232,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                 node_up = node_up.parent
         if not captured:
             return None
-        self.meter.count("views_created")
+        self.meter.flush(view_nodes_captured=len(captured), views_created=1)
         view = CompositeView(captured, domain, write_domain, summary,
                              entries_total)
         self.meter.touch(("view", view.uid))
@@ -247,10 +246,9 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         # items it fully overwrites
         if not view.write_domain.is_empty:
             kept: list[PathItem] = []
+            self.meter.flush(intersection_tests=len(st.entries))
             for item in st.entries:
-                item_domain = (item.domain if not isinstance(item, CompositeView)
-                               else item.domain)
-                self.meter.count("intersection_tests")
+                item_domain = item.domain
                 if item_domain.issubset(view.write_domain):
                     if led is not None:
                         src = (item.task_id
@@ -276,6 +274,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
     def _hoist(self, privilege: Privilege, region: Region) -> None:
         path = region.path_from_root()
         on_path = {r.uid for r in path}
+        tests = 0
         for node in path:
             node_st = self._states.get(node.uid)
             if node_st is None or not node_st.open_children:
@@ -295,7 +294,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                     if st is None or \
                             not _keys_interfere(privilege, st.priv_summary):
                         continue  # summary says nothing to hoist
-                    self.meter.count("intersection_tests")
+                    tests += 1
                     if not child.space.isdisjoint(region.space):
                         trigger = True
                 if trigger:
@@ -304,13 +303,14 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                     view = self._capture_subtrees(open_children)
                     if view is not None:
                         self._append_view(node, view)
+        self.meter.flush(intersection_tests=tests)
 
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
-    def _iter_path_entries(self, region: Region,
-                           privilege: Optional[Privilege] = None
-                           ) -> Iterator[HistoryEntry]:
+    def _path_entries(self, region: Region,
+                      privilege: Optional[Privilege] = None
+                      ) -> list[HistoryEntry]:
         """All history entries relevant to ``region``'s path, oldest first.
 
         When ``privilege`` is given, whole composite views whose privilege
@@ -318,16 +318,23 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         needed for painting, so painting passes ``privilege=None``).
         """
         space = region.space
+        out: list[HistoryEntry] = []
+        views = 0
         for node in region.path_from_root():
             st = self._states.get(node.uid)
-            if st is None:
+            if st is None or not st.entries:
                 continue
-            if st.entries:
-                self.meter.touch(("treenode", node.uid))
-            yield from self._iter_items(st.entries, space, privilege)
+            self.meter.touch(("treenode", node.uid))
+            views += self._collect_items(st.entries, space, privilege, out)
+        self.meter.flush(views_traversed=views)
+        return out
 
-    def _iter_items(self, items: list[PathItem], space: IndexSpace,
-                    privilege: Optional[Privilege]) -> Iterator[HistoryEntry]:
+    def _collect_items(self, items: list[PathItem], space: IndexSpace,
+                       privilege: Optional[Privilege],
+                       out: list[HistoryEntry]) -> int:
+        """Append ``items``' entries to ``out``, expanding the composite
+        views that can matter; returns how many views were traversed."""
+        views = 0
         for item in items:
             if isinstance(item, CompositeView):
                 if not item.domain.bbox_overlaps(space):
@@ -335,12 +342,14 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
                 if (privilege is not None
                         and not _keys_interfere(privilege, item.priv_summary)):
                     continue
-                self.meter.count("views_traversed")
+                views += 1
                 self.meter.touch(("view", item.uid))
                 for _, sub_items in item.captured:
-                    yield from self._iter_items(sub_items, space, privilege)
+                    views += self._collect_items(sub_items, space, privilege,
+                                                 out)
             else:
-                yield item
+                out.append(item)
+        return views
 
     # ------------------------------------------------------------------
     # the Figure 6 protocol
@@ -359,7 +368,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
 
         deps: set[int] = set()
         scan_dependences(privilege, region.space,
-                         self._iter_path_entries(region, privilege), deps,
+                         self._path_entries(region, privilege), deps,
                          self.meter)
         deps.discard(INITIAL_TASK_ID)
 
@@ -373,11 +382,15 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
             values = self.identity_buffer(privilege, region.space.size)
             return AnalysisOutcome(values, frozenset(deps))
 
-        current = RegionValues.filled(region.space, 0, self.dtype)
-        for entry in self._iter_path_entries(region, None):
-            self.meter.count("entries_scanned")
-            current = paint_entry(current, entry, self.meter)
-        return AnalysisOutcome(current.values, frozenset(deps))
+        return AnalysisOutcome(self._paint(region).values, frozenset(deps))
+
+    def _paint(self, region: Region) -> RegionValues:
+        """Replay the whole path history oldest-to-newest onto ``region``."""
+        entries = self._path_entries(region, None)
+        current, moved = paint_history(
+            RegionValues.filled(region.space, 0, self.dtype), entries)
+        self.meter.flush(entries_scanned=len(entries), elements_moved=moved)
+        return current
 
     def materialize_values(self, privilege: Privilege,
                            region: Region) -> np.ndarray:
@@ -389,11 +402,7 @@ class TreePainterAlgorithm(CoherenceAlgorithm):
         self.meter.touch(("treenode", self.tree.root.uid))
         if privilege.is_reduce:
             return self.identity_buffer(privilege, region.space.size)
-        current = RegionValues.filled(region.space, 0, self.dtype)
-        for entry in self._iter_path_entries(region, None):
-            self.meter.count("entries_scanned")
-            current = paint_entry(current, entry, self.meter)
-        return current.values
+        return self._paint(region).values
 
     @traced("commit")
     def commit(self, privilege: Privilege, region: Region,

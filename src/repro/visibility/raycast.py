@@ -93,8 +93,8 @@ class RayCastAlgorithm(CoherenceAlgorithm):
             led.visit("eqsets", len(sets))
 
         deps: set[int] = set()
+        self.meter.flush(eqsets_visited=len(sets))
         for eqset in sets:
-            self.meter.count("eqsets_visited")
             self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
             if track:
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
@@ -147,8 +147,8 @@ class RayCastAlgorithm(CoherenceAlgorithm):
             raise CoherenceError("region belongs to a different tree")
         self._refresh_buckets()
         sets = self._store.overlapping(region.space, region.uid)
+        self.meter.flush(eqsets_visited=len(sets))
         for eqset in sets:
-            self.meter.count("eqsets_visited")
             self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
         if privilege.is_reduce:
             values = self.identity_buffer(privilege, region.space.size)
@@ -171,19 +171,21 @@ class RayCastAlgorithm(CoherenceAlgorithm):
         if region.tree is not self.tree:
             raise CoherenceError("region belongs to a different tree")
         values = self._check_commit_values(privilege, region, values)
-        for eqset in self._store.overlapping(region.space, region.uid):
-            self.meter.count("eqsets_visited")
+        sets = self._store.overlapping(region.space, region.uid)
+        moved = 0
+        for eqset in sets:
             self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
             common = eqset.space & region.space
             if values is None:
                 entry = HistoryEntry(privilege, common, None, task_id)
             else:
                 pos = region.space.positions_of(common)
-                self.meter.count("elements_moved", common.size)
+                moved += common.size
                 entry = HistoryEntry(
                     privilege, common,
                     RegionValues(common, values[pos].copy()), task_id)
             eqset.record(entry)
+        self.meter.flush(eqsets_visited=len(sets), elements_moved=moved)
 
     # ------------------------------------------------------------------
     @property

@@ -66,14 +66,13 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
             led.visit("eqsets", len(sets))
 
         deps: set[int] = set()
+        scanned = 0
         for eqset in sets:
-            self.meter.count("eqsets_visited")
             self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
             if track:
                 led.set_source(("eqset",) + prov.domain_desc(eqset.space))
             hist = eqset.history
-            for entry in hist:
-                self.meter.count("entries_scanned")
+            scanned += len(hist)
             # the eqset invariant makes the overlap test implicit: every
             # entry is relevant to every element, so only privileges are
             # tested; the loop replays the growing-deps skip
@@ -91,6 +90,7 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
                              prov.privilege_label(entry.privilege),
                              prov.domain_desc(eqset.space),
                              collapsed=entry.collapsed_ids)
+        self.meter.flush(eqsets_visited=len(sets), entries_scanned=scanned)
         if track:
             led.clear_source()
         deps.discard(INITIAL_TASK_ID)
@@ -117,8 +117,8 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
         if region.tree is not self.tree:
             raise CoherenceError("region belongs to a different tree")
         sets = self._store.locate(region.space, region.uid)
+        self.meter.flush(eqsets_visited=len(sets))
         for eqset in sets:
-            self.meter.count("eqsets_visited")
             self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
         if privilege.is_reduce:
             return self.identity_buffer(privilege, region.space.size)
@@ -134,15 +134,17 @@ class EqSetAlgorithmBase(CoherenceAlgorithm):
         if region.tree is not self.tree:
             raise CoherenceError("region belongs to a different tree")
         values = self._check_commit_values(privilege, region, values)
-        for eqset in self._store.locate(region.space, region.uid):
-            self.meter.count("eqsets_visited")
+        sets = self._store.locate(region.space, region.uid)
+        moved = 0
+        for eqset in sets:
             self.meter.touch(("eqset", eqset.uid, eqset.space.bounds[0]))
             if values is None:
                 eqset.record(privilege, None, task_id)
             else:
                 pos = region.space.positions_of(eqset.space)
-                self.meter.count("elements_moved", eqset.space.size)
+                moved += eqset.space.size
                 eqset.record(privilege, values[pos], task_id)
+        self.meter.flush(eqsets_visited=len(sets), elements_moved=moved)
 
     # ------------------------------------------------------------------
     @property

@@ -87,30 +87,33 @@ class ZBufferAlgorithm(CoherenceAlgorithm):
         """``sid_array[positions] = sid_array[positions] ∪ {member}``,
         via the intern table — O(distinct sets) set operations."""
         current = sid_array[positions]
-        for sid in np.unique(current):
+        sids = np.unique(current)
+        for sid in sids:
             new_sid = self._sid_of(self._sets[sid] | {member})
             sel = positions[current == sid]
             sid_array[sel] = new_sid
-            self.meter.count("entries_scanned")
+        self.meter.flush(entries_scanned=len(sids))
 
     def _collect(self, deps: set[int], sids: np.ndarray) -> None:
         """Add every reader task id in the given interned sets."""
-        for sid in np.unique(sids):
+        sids = np.unique(sids)
+        for sid in sids:
             if sid != _EMPTY_SET_ID:
                 deps.update(self._sets[sid])
-            self.meter.count("entries_scanned")
+        self.meter.flush(entries_scanned=len(sids))
 
     def _collect_reducers(self, deps: set[int], sids: np.ndarray,
                           exclude_op: Optional[int] = None) -> None:
         """Add reducer task ids, optionally skipping one operator (the
         same-operator non-interference of section 4)."""
-        for sid in np.unique(sids):
-            self.meter.count("entries_scanned")
+        sids = np.unique(sids)
+        for sid in sids:
             if sid == _EMPTY_SET_ID:
                 continue
             for task_id, opid in self._sets[sid]:
                 if exclude_op is None or opid != exclude_op:
                     deps.add(task_id)
+        self.meter.flush(entries_scanned=len(sids))
 
     def _op_id(self, redop) -> int:
         # registry name, not id(): operators pickle by name, so a restored

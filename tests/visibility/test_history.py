@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from repro import READ, READ_WRITE, CoherenceError, IndexSpace, reduce
 from repro.reductions import SUM
-from repro.visibility.history import (HistoryEntry, RegionValues, paint_entry,
-                                      scan_dependences)
+from repro.visibility.history import (HistoryEntry, RegionValues,
+                                      paint_history, scan_dependences)
 
 
 def rv(indices, values):
@@ -108,24 +108,28 @@ class TestPaintEntry:
         cur = rv([1, 2], [0, 0])
         entry = HistoryEntry(READ_WRITE, IndexSpace.from_indices([2, 3]),
                              rv([2, 3], [9, 9]), 0)
-        assert as_dict(paint_entry(cur, entry)) == {1: 0, 2: 9}
+        painted, moved = paint_history(cur, [entry])
+        assert as_dict(painted) == {1: 0, 2: 9}
+        assert moved == 2
 
     def test_reduce_translucent(self):
         cur = rv([1, 2], [5, 5])
         entry = HistoryEntry(reduce("sum"), IndexSpace.from_indices([2]),
                              rv([2], [3]), 0)
-        assert as_dict(paint_entry(cur, entry)) == {1: 5, 2: 8}
+        painted, moved = paint_history(cur, [entry])
+        assert as_dict(painted) == {1: 5, 2: 8}
+        assert moved == 1
 
     def test_read_transparent(self):
         cur = rv([1], [5])
         entry = HistoryEntry(READ, IndexSpace.from_indices([1]), None, 0)
-        assert paint_entry(cur, entry) is cur
+        assert paint_history(cur, [entry]) == (cur, 0)
 
     def test_disjoint_noop(self):
         cur = rv([1], [5])
         entry = HistoryEntry(READ_WRITE, IndexSpace.from_indices([9]),
                              rv([9], [7]), 0)
-        assert paint_entry(cur, entry) is cur
+        assert paint_history(cur, [entry]) == (cur, 0)
 
 
 class TestScanDependences:

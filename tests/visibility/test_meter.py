@@ -1,6 +1,8 @@
 """Tests for the cost meter."""
 
-from repro import CostMeter
+import numpy as np
+
+from repro import CostMeter, IndexSpace
 
 
 class TestCostMeter:
@@ -52,6 +54,21 @@ class TestCostMeter:
         m.count("entries_scanned", 7)
         assert "entries_scanned=7" in repr(m)
 
+    def test_flush_adds_walk_tallies(self):
+        m = CostMeter()
+        m.count("e", 2)
+        m.flush(e=3, f=1)
+        assert m.snapshot() == {"e": 5, "f": 1}
+
+    def test_flush_skips_zero_tallies(self):
+        m = CostMeter()
+        m.flush(e=0, f=2)
+        m.flush(g=0)
+        assert m.snapshot() == {"f": 2}
+        m.begin_task()
+        m.flush(f=0)
+        assert m.end_task().counters == {}
+
     def test_runtime_meter_sharing(self):
         """All per-field algorithm instances share the runtime's meter."""
         import numpy as np
@@ -61,6 +78,45 @@ class TestCostMeter:
         rt = Runtime(tree, fig1_initial(tree))
         assert rt.algorithm_for("up").meter is rt.meter
         assert rt.algorithm_for("down").meter is rt.meter
+
+
+class TestWalkFlushAddsNoZeroKeys:
+    """Analysis walks flush their tallies once; a walk that counted
+    nothing must leave no zero-valued key behind (fingerprints and the
+    census hash the key set)."""
+
+    def test_eqset_paint_of_empty_history(self):
+        from repro.visibility.eqset import EquivalenceSet
+        m = CostMeter()
+        s = EquivalenceSet(IndexSpace.from_range(0, 4))
+        assert list(s.paint(np.float64, m)) == [0.0] * 4
+        assert m.snapshot() == {}
+
+    def test_loose_eqset_paint_of_empty_history(self):
+        from repro.visibility.eqset import LooseEquivalenceSet
+        m = CostMeter()
+        s = LooseEquivalenceSet(IndexSpace.from_range(0, 4))
+        assert list(s.paint(IndexSpace.from_range(0, 4), np.float64,
+                            m).values) == [0.0] * 4
+        assert m.snapshot() == {}
+
+    def test_tree_painter_materialize_with_nothing_to_paint(self):
+        """An empty region's paint walk visits the root entry but moves
+        no element: ``entries_scanned`` counts, ``elements_moved`` must
+        not appear at all."""
+        from repro import READ, TreePainterAlgorithm
+        from tests.conftest import fig1_initial, make_fig1_tree
+        tree, _, _ = make_fig1_tree()
+        E = tree.root.create_partition(
+            "E", [IndexSpace.empty(), IndexSpace.from_range(0, 12)])
+        m = CostMeter()
+        alg = TreePainterAlgorithm(tree, "up", fig1_initial(tree)["up"], m)
+        out = alg.materialize(READ, E[0])
+        assert out.values.size == 0 and out.dependences == frozenset()
+        counts = m.snapshot()
+        assert "elements_moved" not in counts
+        assert "views_traversed" not in counts
+        assert counts["entries_scanned"] == 2  # one scan, one paint walk
 
 
 class TestThreadSafety:
@@ -91,6 +147,12 @@ class TestThreadSafety:
         m = CostMeter()
         self._hammer(lambda: m.count("e"))
         assert m.counters["e"] == self.THREADS * self.ROUNDS
+
+    def test_cost_meter_flush_is_atomic(self):
+        m = CostMeter()
+        self._hammer(lambda: m.flush(e=2, f=1))
+        total = self.THREADS * self.ROUNDS
+        assert m.snapshot() == {"e": 2 * total, "f": total}
 
     def test_phase_profile_stat_and_add_time(self):
         from repro.visibility.meter import PhaseProfile

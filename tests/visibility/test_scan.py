@@ -149,6 +149,28 @@ class TestScanMatchesReference:
         assert got[0] == set()
 
 
+class TestNoZeroMeterKeys:
+    """The scan tallies locally and flushes once per walk; a tally of
+    zero must add no key (fingerprints hash the key set)."""
+
+    def test_no_entries_leaves_meter_empty(self):
+        meter = CostMeter()
+        deps: set[int] = set()
+        scan_dependences(READ_WRITE, IndexSpace.from_range(0, 4), [], deps,
+                         meter)
+        assert deps == set()
+        assert meter.snapshot() == {}
+
+    def test_all_entries_already_dependences(self):
+        entries = [make_entry(READ_WRITE, [i, i + 1], i) for i in range(5)]
+        meter = CostMeter()
+        deps = {0, 1, 2, 3, 4}
+        scan_dependences(READ_WRITE, IndexSpace.from_range(0, 8), entries,
+                         deps, meter)
+        assert deps == {0, 1, 2, 3, 4}
+        assert meter.snapshot() == {"entries_scanned": 5}
+
+
 # ----------------------------------------------------------------------
 # regression: pre-collected deps never reach the kernel
 # ----------------------------------------------------------------------
